@@ -156,6 +156,9 @@ let restore_crash_image t =
 
 let page_of paddr = paddr - (paddr mod Phys_mem.page_size)
 
+(* Every hook below builds its label only while the probe is armed: a
+   disarmed probe ignores the label, and most hook traffic (world builds,
+   warm reboots, counting passes past the trip) runs disarmed. *)
 let instrument_hooks t (hooks : Hooks.t) =
   let rio_note_map = hooks.Hooks.note_map in
   let rio_open = hooks.Hooks.open_write in
@@ -173,20 +176,24 @@ let instrument_hooks t (hooks : Hooks.t) =
   hooks.Hooks.note_map <-
     (fun ~paddr ~blkno ~owner ~valid ->
       rio_note_map ~paddr ~blkno ~owner ~valid;
-      hit t (Printf.sprintf "registry-update p0x%x" (page_of paddr)));
+      if t.armed then hit t (Printf.sprintf "registry-update p0x%x" (page_of paddr)));
   hooks.Hooks.open_write <-
     (fun ~paddr ->
       rio_open ~paddr;
       let page = page_of paddr in
-      if t.armed && not (Hashtbl.mem t.pre_images page) then
-        Hashtbl.replace t.pre_images page (Phys_mem.blit_out t.mem page ~len:Phys_mem.page_size);
-      hit t (Printf.sprintf "store-open p0x%x" page));
+      if t.armed then begin
+        if not (Hashtbl.mem t.pre_images page) then
+          Hashtbl.replace t.pre_images page (Phys_mem.blit_out t.mem page ~len:Phys_mem.page_size);
+        hit t (Printf.sprintf "store-open p0x%x" page)
+      end);
   hooks.Hooks.copy_in <-
     (fun src pos ~paddr ~len ->
       kernel_copy_in src pos ~paddr ~len;
-      let page = page_of paddr in
-      if t.armed then Hashtbl.replace t.copied page ();
-      hit t (Printf.sprintf "store-copy p0x%x+%d" page len));
+      if t.armed then begin
+        let page = page_of paddr in
+        Hashtbl.replace t.copied page ();
+        hit t (Printf.sprintf "store-copy p0x%x+%d" page len)
+      end);
   hooks.Hooks.close_write <-
     (fun ~paddr ->
       let page = page_of paddr in
@@ -201,11 +208,11 @@ let instrument_hooks t (hooks : Hooks.t) =
       rio_close ~paddr;
       Hashtbl.remove t.pre_images page;
       Hashtbl.remove t.copied page;
-      hit t (Printf.sprintf "store-close p0x%x" page));
+      if t.armed then hit t (Printf.sprintf "store-close p0x%x" page));
   hooks.Hooks.metadata_update <-
     (fun ~paddr f ->
       let page = page_of paddr in
-      hit t (Printf.sprintf "meta-begin p0x%x" page);
+      if t.armed then hit t (Printf.sprintf "meta-begin p0x%x" page);
       let pre =
         if t.armed then Some (Phys_mem.blit_out t.mem page ~len:Phys_mem.page_size) else None
       in
@@ -216,17 +223,18 @@ let instrument_hooks t (hooks : Hooks.t) =
           (match pre with
           | Some pre -> hit_torn t (Printf.sprintf "meta-torn p0x%x" page) ~page ~pre
           | None -> ());
-          hit t (Printf.sprintf "meta-mutated p0x%x" page));
-      hit t (Printf.sprintf "meta-done p0x%x" page))
+          if t.armed then hit t (Printf.sprintf "meta-mutated p0x%x" page));
+      if t.armed then hit t (Printf.sprintf "meta-done p0x%x" page))
 
 let instrument_disk t disk =
   Rio_disk.Disk.set_on_complete disk (fun ~sector ~count ~write ->
-      hit t (Printf.sprintf "disk-complete %s s%d x%d" (if write then "w" else "r") sector count))
+      if t.armed then
+        hit t (Printf.sprintf "disk-complete %s s%d x%d" (if write then "w" else "r") sector count))
 
 let vista_event t = function
   | Vista.Undo_append { offset; len } ->
-    hit t (Printf.sprintf "vista-undo-append @%d+%d" offset len)
+    if t.armed then hit t (Printf.sprintf "vista-undo-append @%d+%d" offset len)
   | Vista.Data_write { offset; len } ->
-    hit t (Printf.sprintf "vista-data-write @%d+%d" offset len)
+    if t.armed then hit t (Printf.sprintf "vista-data-write @%d+%d" offset len)
   | Vista.Commit_start -> hit t "vista-commit-start"
   | Vista.Committed -> hit t "vista-committed"

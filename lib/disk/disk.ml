@@ -176,8 +176,10 @@ let read_sync t ~sector ~count =
   done;
   out
 
-let write_sync t ~sector data =
-  let data, count = pad_to_sectors data in
+(* A synchronous request of [count] sectors at [sector]: schedule it,
+   wait for it, count it, let [commit] land the payload on the platter,
+   then fire the completion callback. *)
+let sync_write t ~sector ~count commit =
   check_range t sector count;
   let issued = Engine.now t.engine in
   let _, completion = schedule_request t sector count in
@@ -185,29 +187,48 @@ let write_sync t ~sector data =
   Engine.advance_to t.engine completion;
   t.writes <- t.writes + 1;
   t.sectors_written <- t.sectors_written + count;
-  for i = 0 to count - 1 do
-    Store.commit_from t.store ~sector:(sector + i) data ~pos:(i * sector_bytes)
-  done;
+  commit ();
   t.on_complete ~sector ~count ~write:true
 
-(* Write [count] sectors of zeros without materializing a payload buffer.
-   Simulated behaviour is identical to [write_sync] with an all-zero
-   buffer of the same length — same schedule, same trace events, same
-   counters, same completion callback — only the host-side commit
-   differs: instead of probing the store per sector it sweeps the
-   [nonzero] bitmap and drops whatever entries the range still holds.
-   The swap dump uses this for the (typically vast) all-zero stretches
-   of the memory image. *)
-let write_zeros_sync t ~sector ~count =
-  check_range t sector count;
-  let issued = Engine.now t.engine in
-  let _, completion = schedule_request t sector count in
-  note_request t ~sector ~count ~write:true ~sync:true ~issued ~completion;
-  Engine.advance_to t.engine completion;
-  t.writes <- t.writes + 1;
-  t.sectors_written <- t.sectors_written + count;
-  Store.commit_zeros t.store ~sector ~count;
-  t.on_complete ~sector ~count ~write:true
+let commit_sectors t ~sector data ~count =
+  for i = 0 to count - 1 do
+    Store.commit_from t.store ~sector:(sector + i) data ~pos:(i * sector_bytes)
+  done
+
+let write_sync t ~sector data =
+  let data, count = pad_to_sectors data in
+  sync_write t ~sector ~count (fun () -> commit_sectors t ~sector data ~count)
+
+(* The same request as [write_sync] of the materialized buffer — same
+   schedule, trace event, counters and completion callback — but the
+   payload arrives as extents over an implicit zero background. Only the
+   extents' sectors are committed one by one; each gap is swept off the
+   [nonzero] bitmap in O(gap/8) (absent sectors read as zeros). *)
+let write_sync_sparse t ~sector ~count extents =
+  let (_ : int) =
+    List.fold_left
+      (fun next (off, data) ->
+        let n = Bytes.length data / sector_bytes in
+        if off < next || Bytes.length data <> n * sector_bytes || off + n > count then
+          invalid_arg
+            "Disk.write_sync_sparse: extents must be sorted, disjoint, whole sectors within count";
+        off + n)
+      0 extents
+  in
+  sync_write t ~sector ~count (fun () ->
+      let zeros_upto next stop =
+        if stop > next then Store.commit_zeros t.store ~sector:(sector + next) ~count:(stop - next)
+      in
+      let next =
+        List.fold_left
+          (fun next (off, data) ->
+            let n = Bytes.length data / sector_bytes in
+            zeros_upto next off;
+            commit_sectors t ~sector:(sector + off) data ~count:n;
+            off + n)
+          0 extents
+      in
+      zeros_upto next count)
 
 let max_queue_depth = 32
 

@@ -70,12 +70,17 @@ val write_sync : t -> sector:int -> bytes -> unit
     of sectors); the clock advances to completion — data is then
     crash-safe. *)
 
-val write_zeros_sync : t -> sector:int -> count:int -> unit
-(** [write_sync] of [count] sectors of zeros, without the buffer:
-    identical simulated timing, trace events, statistics, and completion
-    callback; the host-side commit just drops any stored entries in the
-    range (absent sectors read as zeros). The warm-reboot swap dump uses
-    this for chunks the memory snapshot proves are all-zero. *)
+val write_sync_sparse : t -> sector:int -> count:int -> (int * bytes) list -> unit
+(** [write_sync_sparse t ~sector ~count extents] is [write_sync] of a
+    [count]-sector buffer that is zero except for [extents]: each
+    [(off, data)] places whole sectors [data] at sector [sector + off].
+    Identical simulated timing, trace event, statistics and completion
+    callback; only the host-side commit differs — the zero gaps between
+    extents are swept off the store's bitmap instead of being committed
+    sector by sector. The warm-reboot swap dump uses this for the pages a
+    memory snapshot cannot prove zero.
+    @raise Invalid_argument unless the extents are sorted by offset,
+    disjoint, whole sectors and inside [count]. *)
 
 val write_async : t -> sector:int -> bytes -> unit
 (** Queue a write and return immediately. The data commits to the platter

@@ -33,8 +33,11 @@ let bit_set t sector =
   Char.code (Bytes.unsafe_get t.nonzero (sector lsr 3)) land (1 lsl (sector land 7)) <> 0
 
 let sector_is_zero src pos =
-  let rec go i = i >= sector_bytes || (Bytes.get_int64_le src (pos + i) = 0L && go (i + 8)) in
-  go 0
+  let i = ref pos and last = pos + sector_bytes in
+  while !i < last && Bytes.get_int64_le src !i = 0L do
+    i := !i + 8
+  done;
+  !i >= last
 
 let peek t ~sector =
   match Hashtbl.find_opt t.tbl sector with
@@ -52,19 +55,18 @@ let blit_to t ~sector dst ~pos =
    must drop it, or the bitmap bit goes stale. *)
 let commit_from t ~sector src ~pos =
   if sector_is_zero src pos then begin
-    if Hashtbl.mem t.tbl sector then begin
+    if bit_set t sector then begin
       Hashtbl.remove t.tbl sector;
       clear_nonzero t sector
     end
   end
-  else
-    match Hashtbl.find_opt t.tbl sector with
-    | Some dst -> Bytes.blit src pos dst 0 sector_bytes
-    | None ->
-      let b = Bytes.create sector_bytes in
-      Bytes.blit src pos b 0 sector_bytes;
-      Hashtbl.replace t.tbl sector b;
-      mark_nonzero t sector
+  else if bit_set t sector then Bytes.blit src pos (Hashtbl.find t.tbl sector) 0 sector_bytes
+  else begin
+    let b = Bytes.create sector_bytes in
+    Bytes.blit src pos b 0 sector_bytes;
+    Hashtbl.replace t.tbl sector b;
+    mark_nonzero t sector
+  end
 
 let commit_zeros t ~sector ~count =
   let last = sector + count - 1 in

@@ -171,6 +171,13 @@ let get t ~blkno ~owner ~fill =
 
 let lookup t ~blkno = Hashtbl.find_opt t.table blkno
 
+let credit_hits t entry k =
+  if k > 0 then begin
+    t.hits <- t.hits + k;
+    t.clock <- t.clock + k;
+    entry.tick <- t.clock
+  end
+
 let mark_dirty t entry =
   touch t entry;
   if not entry.dirty then t.ndirty <- t.ndirty + 1;

@@ -52,6 +52,12 @@ val get : t -> blkno:int -> owner:Fs_types.owner -> fill:fill -> entry
 
 val lookup : t -> blkno:int -> entry option
 
+val credit_hits : t -> entry -> int -> unit
+(** [credit_hits t entry k] accounts [k] further {!get} hits on [entry]
+    by its current owner — the hit count and LRU clock a caller that
+    looked the block up [k] more times would have left — without the
+    lookups. *)
+
 val mark_dirty : t -> entry -> unit
 
 val set_valid : t -> entry -> int -> unit

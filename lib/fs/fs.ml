@@ -234,6 +234,40 @@ let bitmap_get t ~start idx =
   let byte = Phys_mem.read_u8 t.mem (meta_addr entry sector + (idx / 8 mod 512)) in
   byte land (1 lsl (idx mod 8)) <> 0
 
+let popcount32 x =
+  let x = x - ((x lsr 1) land 0x55555555) in
+  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+  let x = (x + (x lsr 4)) land 0x0F0F0F0F in
+  ((x * 0x01010101) land 0xFFFFFFFF) lsr 24
+
+(* Clear bits among the first [n] of the bitmap at [start], with one
+   meta_get and a popcount per bitmap sector. The modelled scan looks the
+   sector's page up once per bit, so the meta cache is credited the
+   sector's remaining bits as hits: its statistics and LRU ticks, like
+   the misses and fills of a page's first lookup, are those of a
+   bitmap_get per bit. *)
+let count_free t ~start n =
+  let bits_per_sector = 8 * Disk.sector_bytes in
+  let free = ref 0 in
+  for k = 0 to ((n + bits_per_sector - 1) / bits_per_sector) - 1 do
+    let sector = start + k in
+    let entry = meta_get t ~sector ~pin:true in
+    let addr = meta_addr entry sector in
+    let bits = min bits_per_sector (n - (k * bits_per_sector)) in
+    let set = ref 0 in
+    for w = 0 to (bits / 32) - 1 do
+      set := !set + popcount32 (Phys_mem.read_u32 t.mem (addr + (4 * w)))
+    done;
+    if bits mod 32 <> 0 then
+      set :=
+        !set
+        + popcount32
+            (Phys_mem.read_u32 t.mem (addr + (4 * (bits / 32))) land ((1 lsl (bits mod 32)) - 1));
+    free := !free + bits - !set;
+    Block_cache.credit_hits t.meta entry (bits - 1)
+  done;
+  !free
+
 let bitmap_set t ~start idx v =
   let sector = bitmap_sector ~start idx in
   meta_update t ~cls:Class_bitmap ~sector ~len:Disk.sector_bytes (fun addr ->
@@ -694,16 +728,9 @@ let mount ~engine ~costs ~mem ~meta_alloc ~pool_alloc ~disk ~policy ~hooks ~wb_u
     iupdate t root_ino root ~structural:true
   end;
   (* Seed the free counters from the allocation bitmaps (a sector or two,
-     already faulted into the pinned buffer-cache pages). *)
-  let count_free ~start n =
-    let free = ref 0 in
-    for i = 0 to n - 1 do
-      if not (bitmap_get t ~start i) then incr free
-    done;
-    !free
-  in
-  t.free_inodes <- count_free ~start:sb.Ondisk.ibitmap_start sb.Ondisk.inode_count;
-  t.free_blocks <- count_free ~start:sb.Ondisk.bbitmap_start sb.Ondisk.data_blocks;
+     faulted into pinned buffer-cache pages). *)
+  t.free_inodes <- count_free t ~start:sb.Ondisk.ibitmap_start sb.Ondisk.inode_count;
+  t.free_blocks <- count_free t ~start:sb.Ondisk.bbitmap_start sb.Ondisk.data_blocks;
   (match policy with
   | Mfs | Rio_policy -> ()
   | Ufs_default | Ufs_delayed | Wt_close | Wt_write | Advfs | Rio_idle -> schedule_daemon t);
@@ -1109,19 +1136,18 @@ type fs_stats = {
 
 let statfs t =
   charge_syscall t;
-  let free_bits ~start n =
-    let free = ref 0 in
-    for i = 0 to n - 1 do
-      if not (bitmap_get t ~start i) then incr free
-    done;
-    !free
-  in
+  (* Inodes first: the order the bitmap pages are looked up in is visible
+     in the meta cache's LRU ticks. *)
+  let inodes_free = count_free t ~start:t.sb.Ondisk.ibitmap_start t.sb.Ondisk.inode_count in
+  let blocks_free = count_free t ~start:t.sb.Ondisk.bbitmap_start t.sb.Ondisk.data_blocks in
   {
     blocks_total = t.sb.Ondisk.data_blocks;
-    blocks_free = free_bits ~start:t.sb.Ondisk.bbitmap_start t.sb.Ondisk.data_blocks;
+    blocks_free;
     inodes_total = t.sb.Ondisk.inode_count;
-    inodes_free = free_bits ~start:t.sb.Ondisk.ibitmap_start t.sb.Ondisk.inode_count;
+    inodes_free;
   }
+
+let free_counts t = (t.free_inodes, t.free_blocks)
 
 (* ---------------- symbolic links ---------------- *)
 

@@ -201,6 +201,11 @@ type fs_stats = {
 val statfs : t -> fs_stats
 (** Block and inode usage from the allocation bitmaps. *)
 
+val free_counts : t -> int * int
+(** [(free inodes, free blocks)] as the allocator's counters track them:
+    seeded by {!mount} from the bitmaps, maintained by every allocation
+    and release since. *)
+
 (** {1 Warm-reboot support} *)
 
 val write_by_ino : t -> ino:int -> offset:int -> bytes -> unit

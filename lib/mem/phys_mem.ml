@@ -37,7 +37,8 @@ type paddr = int
 
 let page_size = 8192
 
-let next_id = ref 0
+(* Snapshot-owner ids; memories are created from every worker domain. *)
+let next_id = Atomic.make 0
 
 (* Retired memory images by size class. A campaign boots a fresh
    multi-megabyte world per trial; allocating (and zeroing) that image
@@ -67,12 +68,12 @@ let pool_put b =
 
 let create ~bytes_total =
   let pages = max 1 ((bytes_total + page_size - 1) / page_size) in
-  incr next_id;
+  let id = Atomic.fetch_and_add next_id 1 + 1 in
   let len = pages * page_size in
   let data = match pool_take len with Some b -> b | None -> Bytes.make len '\000' in
   {
     data;
-    id = !next_id;
+    id;
     version = Array.make pages 0;
     dirty_pages = 0;
     snaps = [];
@@ -399,12 +400,13 @@ let snap_blit_out t s addr ~len =
   b
 
 (* Whether the snapshot-time content of page [pfn] is known to be all
-   zeroes: the page had never been written at snapshot time and has not
-   been COW-saved since (version 0 pages still hold their created
-   zeroes). *)
+   zeroes: the page has never been written (version 0 pages still hold
+   their created zeroes). A COW-saved page was written after the
+   snapshot, and every write bumps the version first, so version 0 also
+   rules out a saved pre-image — no table probe needed. *)
 let snap_page_is_zero t s pfn =
   check_owner t s "snap_page_is_zero";
-  (not (Hashtbl.mem s.saved pfn)) && t.version.(pfn) = 0
+  t.version.(pfn) = 0
 
 let snap_checksum_range t s addr ~len =
   check_owner t s "snap_checksum_range";

@@ -173,8 +173,9 @@ val snap_blit_out : t -> snapshot -> paddr -> len:int -> bytes
 (** Allocating variant of {!snap_blit_into}. *)
 
 val snap_page_is_zero : t -> snapshot -> int -> bool
-(** Whether frame [pfn] was provably all-zero at snapshot time (never
-    written before the snapshot and not saved since). *)
+(** Whether frame [pfn] was provably all-zero at snapshot time: it has
+    never been written at all (so it was neither written before the
+    snapshot nor saved since). O(1), no table probe. *)
 
 val snap_checksum_range : t -> snapshot -> paddr -> len:int -> int
 (** CRC-32 of a range as it was at snapshot time; hits the single-page

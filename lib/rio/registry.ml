@@ -27,7 +27,13 @@ type t = {
   base : int;
   capacity : int;
   index : (int, int) Hashtbl.t; (* home_paddr -> slot *)
-  mutable free : int list;
+  (* Free slots: released slots are reused most-recent-first, then the
+     never-used slots [fresh, capacity) in order. Released slots are all
+     below [fresh], so slots are handed out exactly as by a LIFO free list
+     seeded with 0..capacity-1 — the slot numbers, and so the registry's
+     bytes in memory, are part of every recorded output. *)
+  mutable released : int list;
+  mutable fresh : int;
   mutable live : int;
   scratch : bytes; (* one slot, reused by read_slot's hot path *)
 }
@@ -40,7 +46,8 @@ let create ~mem ~region =
     base = region.Layout.base;
     capacity;
     index = Hashtbl.create 256;
-    free = List.init capacity (fun i -> i);
+    released = [];
+    fresh = 0;
     live = 0;
     scratch = Bytes.create entry_bytes;
   }
@@ -75,14 +82,18 @@ let clear_slot t slot =
 let read_field_u64 img pos = Int64.to_int (Bytes.get_int64_le img pos)
 let read_field_u32 img pos = Int32.to_int (Bytes.get_int32_le img pos) land 0xFFFF_FFFF
 
+(* A free slot is all zeros: five 64-bit words. *)
+let slot_is_zero img pos =
+  Bytes.get_int64_le img pos = 0L
+  && Bytes.get_int64_le img (pos + 8) = 0L
+  && Bytes.get_int64_le img (pos + 16) = 0L
+  && Bytes.get_int64_le img (pos + 24) = 0L
+  && Bytes.get_int64_le img (pos + 32) = 0L
+
 let read_slot_image img base slot =
   let pos = base + (slot * entry_bytes) in
   let kind_byte = Char.code (Bytes.get img (pos + 34)) in
-  let all_zero =
-    let rec check i = i >= entry_bytes || (Bytes.get img (pos + i) = '\000' && check (i + 1)) in
-    check 0
-  in
-  if all_zero then `Free
+  if slot_is_zero img pos then `Free
   else if kind_byte <> 1 && kind_byte <> 2 then `Corrupt
   else
     `Entry
@@ -129,20 +140,26 @@ let register t ~home_paddr ~dev ~ino ~offset ~size ~blkno ~kind ~checksum =
     let paddr = match read_slot t slot with Some e -> e.paddr | None -> home_paddr in
     write_slot t slot { entry with paddr }
   | None ->
-    (match t.free with
-    | [] -> Rio_fs.Fs_types.err "registry full"
-    | slot :: rest ->
-      t.free <- rest;
-      Hashtbl.replace t.index home_paddr slot;
-      t.live <- t.live + 1;
-      write_slot t slot entry)
+    let slot =
+      match t.released with
+      | slot :: rest ->
+        t.released <- rest;
+        slot
+      | [] when t.fresh < t.capacity ->
+        t.fresh <- t.fresh + 1;
+        t.fresh - 1
+      | [] -> Rio_fs.Fs_types.err "registry full"
+    in
+    Hashtbl.replace t.index home_paddr slot;
+    t.live <- t.live + 1;
+    write_slot t slot entry
 
 let unregister t ~home_paddr =
   match Hashtbl.find_opt t.index home_paddr with
   | None -> ()
   | Some slot ->
     Hashtbl.remove t.index home_paddr;
-    t.free <- slot :: t.free;
+    t.released <- slot :: t.released;
     t.live <- t.live - 1;
     clear_slot t slot
 
@@ -179,19 +196,26 @@ let iter t f =
 
 (* ---- world-template rewind ---- *)
 
-type checkpoint = { ck_index : (int * int) list; ck_free : int list; ck_live : int }
+type checkpoint = {
+  ck_index : (int * int) list;
+  ck_released : int list;
+  ck_fresh : int;
+  ck_live : int;
+}
 
 (* Slot bytes in simulated memory rewind with the memory snapshot; only the
-   host-side index needs capturing. *)
+   host-side index and free-slot state need capturing. *)
 let checkpoint t =
   { ck_index = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.index [];
-    ck_free = t.free;
+    ck_released = t.released;
+    ck_fresh = t.fresh;
     ck_live = t.live }
 
 let restore t ck =
   Hashtbl.reset t.index;
   List.iter (fun (k, v) -> Hashtbl.replace t.index k v) ck.ck_index;
-  t.free <- ck.ck_free;
+  t.released <- ck.ck_released;
+  t.fresh <- ck.ck_fresh;
   t.live <- ck.ck_live
 
 type parse_result = {

@@ -59,13 +59,23 @@ let read_superblock_opt disk =
 
 let dump_chunk = 128 * 1024
 
-(* Whether every page overlapping [pos, pos+n) was provably all-zero at
-   snapshot time (never written, not COW-saved) — such chunks can be
-   written from a shared zero buffer without reading the view. *)
-let chunk_is_zero vmem snap pos n =
-  let first = pos / Phys_mem.page_size and last = (pos + n - 1) / Phys_mem.page_size in
-  let rec go pfn = pfn > last || (Phys_mem.snap_page_is_zero vmem snap pfn && go (pfn + 1)) in
-  go first
+(* The pages of [pos, pos+n) the snapshot cannot prove all-zero, coalesced
+   into runs and read out of the view as [(sector offset within the
+   chunk, bytes)] extents. *)
+let nonzero_extents vmem snap pos n =
+  let page = Phys_mem.page_size and last = pos + n in
+  let zero a = Phys_mem.snap_page_is_zero vmem snap (a / page) in
+  let next a = min last (((a / page) + 1) * page) in
+  let rec run_end b = if b < last && not (zero b) then run_end (next b) else b in
+  let rec go a acc =
+    if a >= last then List.rev acc
+    else if zero a then go (next a) acc
+    else begin
+      let b = run_end (next a) in
+      go b (((a - pos) / Disk.sector_bytes, Phys_mem.snap_blit_out vmem snap a ~len:(b - a)) :: acc)
+    end
+  in
+  go pos []
 
 let dump_to_swap_view ~disk ~view =
   match read_superblock_opt disk with
@@ -74,27 +84,29 @@ let dump_to_swap_view ~disk ~view =
     let swap_bytes = sb.Ondisk.swap_sectors * Disk.sector_bytes in
     let len = min (view_size view) swap_bytes in
     (* Stream in 128 KB synchronous chunks — one long sequential write.
-       Every chunk is written on both paths (same sectors, same lengths,
-       same simulated time); the fast path reuses one scratch buffer, and
-       chunks the snapshot proves are all-zero skip both the read and the
-       payload entirely ({!Disk.write_zeros_sync} has identical timing,
-       events, and statistics to a zero-buffer [write_sync]). *)
-    let buf = Bytes.create (min dump_chunk (max 1 len)) in
-    let pos = ref 0 in
-    while !pos < len do
-      let n = min dump_chunk (len - !pos) in
-      let sector = sb.Ondisk.swap_start + (!pos / Disk.sector_bytes) in
-      (match view with
-      | Snap_view { vmem; snap } when n = dump_chunk && chunk_is_zero vmem snap !pos n ->
-        Disk.write_zeros_sync disk ~sector ~count:(n / Disk.sector_bytes)
-      | _ ->
-        let b = if n = Bytes.length buf then buf else Bytes.create n in
-        (match view with
-        | Full_image image -> Bytes.blit image !pos b 0 n
-        | Snap_view { vmem; snap } -> Phys_mem.snap_blit_into vmem snap !pos b ~pos:0 ~len:n);
-        Disk.write_sync disk ~sector b);
-      pos := !pos + n
-    done;
+       Every chunk is one request on both paths (same sectors, same
+       lengths, same simulated time). The reference path writes the full
+       image; the fast path hands {!Disk.write_sync_sparse} only the
+       pages the snapshot cannot prove zero. *)
+    let chunks write =
+      let pos = ref 0 in
+      while !pos < len do
+        let n = min dump_chunk (len - !pos) in
+        write ~sector:(sb.Ondisk.swap_start + (!pos / Disk.sector_bytes)) !pos n;
+        pos := !pos + n
+      done
+    in
+    (match view with
+    | Full_image image ->
+      let buf = Bytes.create (min dump_chunk len) in
+      chunks (fun ~sector pos n ->
+          let b = if n = Bytes.length buf then buf else Bytes.create n in
+          Bytes.blit image pos b 0 n;
+          Disk.write_sync disk ~sector b)
+    | Snap_view { vmem; snap } ->
+      chunks (fun ~sector pos n ->
+          Disk.write_sync_sparse disk ~sector ~count:(n / Disk.sector_bytes)
+            (nonzero_extents vmem snap pos n)));
     (len, view_size view - len)
 
 let dump_to_swap ~disk ~image = dump_to_swap_view ~disk ~view:(Full_image image)

@@ -2,25 +2,26 @@
    zero bytes, so sixteen bytes fold into the accumulator per iteration —
    two independent 8-byte halves keep the load-xor chains short. Values
    are identical to the classic one-byte-at-a-time loop (table 0), which
-   still handles the unaligned tail. *)
+   still handles the unaligned tail. Built eagerly at module
+   initialization: a top-level [lazy] forced by two worker domains at once
+   raises [CamlinternalLazy.Undefined] in OCaml 5. *)
 let crc_tables =
-  lazy
-    (let t = Array.make_matrix 16 256 0 in
-     for n = 0 to 255 do
-       let c = ref n in
-       for _ = 0 to 7 do
-         if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
-       done;
-       t.(0).(n) <- !c
-     done;
-     for n = 0 to 255 do
-       let c = ref t.(0).(n) in
-       for k = 1 to 15 do
-         c := t.(0).(!c land 0xFF) lxor (!c lsr 8);
-         t.(k).(n) <- !c
-       done
-     done;
-     t)
+  let t = Array.make_matrix 16 256 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
+    done;
+    t.(0).(n) <- !c
+  done;
+  for n = 0 to 255 do
+    let c = ref t.(0).(n) in
+    for k = 1 to 15 do
+      c := t.(0).(!c land 0xFF) lxor (!c lsr 8);
+      t.(k).(n) <- !c
+    done
+  done;
+  t
 
 (* The 16-byte folding step shared by [crc32] and [crc32_raw]: feed the
    register [c] and the block at [i] through the sliced tables. All reads
@@ -50,7 +51,7 @@ let[@inline] fold16 t c b i =
 
 let crc32 ?(init = 0) b ~pos ~len =
   assert (pos >= 0 && len >= 0 && pos + len <= Bytes.length b);
-  let t = Lazy.force crc_tables in
+  let t = crc_tables in
   let t0 = t.(0) in
   let c = ref (init lxor 0xFFFFFFFF) in
   let i = ref pos in
@@ -86,7 +87,7 @@ let crc32_string s =
    init / final xor.  Same tables and folding as [crc32]. *)
 let crc32_raw b ~pos ~len =
   assert (pos >= 0 && len >= 0 && pos + len <= Bytes.length b);
-  let t = Lazy.force crc_tables in
+  let t = crc_tables in
   let t0 = t.(0) and t1 = t.(1) and t2 = t.(2) and t3 = t.(3) in
   let t4 = t.(4) and t5 = t.(5) and t6 = t.(6) and t7 = t.(7) in
   let c = ref 0 in
@@ -122,20 +123,20 @@ let apply_mat m c =
   !r
 
 (* mats.(k).(i): the register after feeding 2^k zero bytes starting from
-   register [1 lsl i] — the linear operator as its images of the basis. *)
+   register [1 lsl i] — the linear operator as its images of the basis.
+   Eager for the same reason as [crc_tables]. *)
 let zero_mats =
-  lazy
-    (let t0 = (Lazy.force crc_tables).(0) in
-     let mats = Array.make 26 [||] in
-     mats.(0) <-
-       Array.init 32 (fun i ->
-           let c = 1 lsl i in
-           t0.(c land 0xFF) lxor (c lsr 8));
-     for k = 1 to 25 do
-       let prev = mats.(k - 1) in
-       mats.(k) <- Array.init 32 (fun i -> apply_mat prev prev.(i))
-     done;
-     mats)
+  let t0 = crc_tables.(0) in
+  let mats = Array.make 26 [||] in
+  mats.(0) <-
+    Array.init 32 (fun i ->
+        let c = 1 lsl i in
+        t0.(c land 0xFF) lxor (c lsr 8));
+  for k = 1 to 25 do
+    let prev = mats.(k - 1) in
+    mats.(k) <- Array.init 32 (fun i -> apply_mat prev prev.(i))
+  done;
+  mats
 
 (* The register after feeding [zeros] zero bytes starting from register
    [c] (square-and-multiply over the per-power-of-two operators). *)
@@ -143,7 +144,7 @@ let shift_zeros c ~zeros =
   assert (zeros >= 0);
   if c = 0 || zeros = 0 then c
   else begin
-    let mats = Lazy.force zero_mats in
+    let mats = zero_mats in
     let c = ref c and z = ref zeros and k = ref 0 in
     while !z <> 0 && !c <> 0 do
       if !z land 1 = 1 then c := apply_mat mats.(!k) !c;

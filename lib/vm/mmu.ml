@@ -68,25 +68,24 @@ let translate_mapped_code t ~vaddr ~access =
   end
   else begin
     let vpn = vaddr / Phys_mem.page_size in
-    let entries = Page_table.entries t.page_table in
-    if vpn >= Array.length entries then begin
+    let flags = Page_table.flags t.page_table in
+    if vpn >= Bytes.length flags then begin
       note_unmapped t;
       code_unmapped
     end
     else begin
-      let pte = Array.unsafe_get entries vpn in
-      if not pte.Pte.valid then begin
+      let f = Char.code (Bytes.unsafe_get flags vpn) in
+      if f land Page_table.valid_bit = 0 then begin
         note_unmapped t;
         code_unmapped
       end
       else begin
-        Tlb.access t.tlb ~vpn pte;
+        Tlb.access t.tlb ~vpn;
         match access with
-        | Write when not pte.Pte.writable ->
+        | Write when f land Page_table.writable_bit = 0 ->
           note_protected t vaddr;
           code_write_protected
-        | Read | Write | Exec ->
-          Phys_mem.page_base pte.Pte.pfn + (vaddr mod Phys_mem.page_size)
+        | Read | Write | Exec -> vaddr (* identity mapping *)
       end
     end
   end
@@ -127,8 +126,7 @@ let reset_stats t =
 (* ---- world-template rewind ---- *)
 
 type checkpoint = {
-  ck_valid : Bytes.t; (* one byte per pte *)
-  ck_writable : Bytes.t;
+  ck_flags : Bytes.t; (* the page table's flag bytes *)
   ck_tlb : Tlb.checkpoint;
   ck_kseg : bool;
   ck_prot_faults : int;
@@ -136,24 +134,13 @@ type checkpoint = {
 }
 
 let checkpoint t =
-  let entries = Page_table.entries t.page_table in
-  let n = Array.length entries in
-  let ck_valid = Bytes.create n and ck_writable = Bytes.create n in
-  Array.iteri
-    (fun i (p : Pte.t) ->
-      Bytes.unsafe_set ck_valid i (if p.Pte.valid then '\001' else '\000');
-      Bytes.unsafe_set ck_writable i (if p.Pte.writable then '\001' else '\000'))
-    entries;
-  { ck_valid; ck_writable; ck_tlb = Tlb.checkpoint t.tlb; ck_kseg = t.kseg_through_tlb;
-    ck_prot_faults = t.protection_faults; ck_unmapped_faults = t.unmapped_faults }
+  { ck_flags = Bytes.copy (Page_table.flags t.page_table); ck_tlb = Tlb.checkpoint t.tlb;
+    ck_kseg = t.kseg_through_tlb; ck_prot_faults = t.protection_faults;
+    ck_unmapped_faults = t.unmapped_faults }
 
 let restore t ck =
-  let entries = Page_table.entries t.page_table in
-  Array.iteri
-    (fun i (p : Pte.t) ->
-      p.Pte.valid <- Bytes.unsafe_get ck.ck_valid i <> '\000';
-      p.Pte.writable <- Bytes.unsafe_get ck.ck_writable i <> '\000')
-    entries;
+  let flags = Page_table.flags t.page_table in
+  Bytes.blit ck.ck_flags 0 flags 0 (Bytes.length flags);
   Tlb.restore t.tlb ck.ck_tlb;
   t.kseg_through_tlb <- ck.ck_kseg;
   t.protection_faults <- ck.ck_prot_faults;

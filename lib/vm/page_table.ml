@@ -1,31 +1,36 @@
-type t = { entries : Pte.t array }
+(* One flag byte per page; the mapping itself is the identity, so the
+   frame number is the index and needs no storage. *)
+type t = { flags : Bytes.t }
 
-let create ~pages =
-  { entries = Array.init pages (fun pfn -> Pte.make ~pfn ~valid:true ~writable:true) }
+let valid_bit = 1
+let writable_bit = 2
 
-let pages t = Array.length t.entries
+let create ~pages = { flags = Bytes.make pages (Char.chr (valid_bit lor writable_bit)) }
 
-let entries t = t.entries
+let pages t = Bytes.length t.flags
 
-let lookup t ~vpn =
-  if vpn >= 0 && vpn < Array.length t.entries then Some t.entries.(vpn) else None
+let flags t = t.flags
 
-let set_valid t ~vpn v =
-  match lookup t ~vpn with
-  | Some pte -> pte.Pte.valid <- v
-  | None -> invalid_arg "Page_table.set_valid: vpn out of range"
+let in_range t vpn = vpn >= 0 && vpn < Bytes.length t.flags
 
-let set_writable t ~vpn w =
-  match lookup t ~vpn with
-  | Some pte -> pte.Pte.writable <- w
-  | None -> invalid_arg "Page_table.set_writable: vpn out of range"
+let update t ~vpn bit on fn =
+  if not (in_range t vpn) then invalid_arg ("Page_table." ^ fn ^ ": vpn out of range");
+  let f = Char.code (Bytes.unsafe_get t.flags vpn) in
+  Bytes.unsafe_set t.flags vpn (Char.unsafe_chr (if on then f lor bit else f land lnot bit))
+
+let set_valid t ~vpn v = update t ~vpn valid_bit v "set_valid"
+
+let set_writable t ~vpn w = update t ~vpn writable_bit w "set_writable"
+
+let is_valid t ~vpn = in_range t vpn && Char.code (Bytes.get t.flags vpn) land valid_bit <> 0
 
 let is_writable t ~vpn =
-  match lookup t ~vpn with
-  | Some pte -> pte.Pte.valid && pte.Pte.writable
-  | None -> false
+  let both = valid_bit lor writable_bit in
+  in_range t vpn && Char.code (Bytes.get t.flags vpn) land both = both
 
 let protected_count t =
-  Array.fold_left
-    (fun acc (pte : Pte.t) -> if pte.valid && not pte.writable then acc + 1 else acc)
-    0 t.entries
+  let n = ref 0 in
+  Bytes.iter
+    (fun c -> if Char.code c land (valid_bit lor writable_bit) = valid_bit then incr n)
+    t.flags;
+  !n

@@ -3,7 +3,9 @@
     The simulated kernel runs identity-mapped: virtual page [n] maps to
     physical frame [n] when valid. What matters for Rio is not fancy address
     spaces but the per-page [valid] and [writable] bits — they are what turn
-    wild stores into traps (paper §2.1). *)
+    wild stores into traps (paper §2.1). Each page's bits live in one flag
+    byte, so creating, checkpointing and restoring a table is one
+    allocation or one blit. *)
 
 type t
 
@@ -13,15 +15,23 @@ val create : pages:int -> t
 
 val pages : t -> int
 
-val entries : t -> Pte.t array
-(** The backing entry array, indexed by vpn — exposed so the translation
-    fast path can skip the option boxing of {!lookup}. Do not resize. *)
+val valid_bit : int
+(** Flag bit: the page is mapped. *)
 
-val lookup : t -> vpn:int -> Pte.t option
-(** [None] when [vpn] is outside the table — an illegal address. *)
+val writable_bit : int
+(** Flag bit: stores to the page are allowed. *)
+
+val flags : t -> Bytes.t
+(** The backing flag bytes, indexed by vpn — exposed so the translation
+    fast path and the MMU checkpoint can read and blit them directly. Do
+    not resize. *)
 
 val set_valid : t -> vpn:int -> bool -> unit
 val set_writable : t -> vpn:int -> bool -> unit
+(** @raise Invalid_argument when [vpn] is outside the table. *)
+
+val is_valid : t -> vpn:int -> bool
+(** [false] also when out of range — an illegal address. *)
 
 val is_writable : t -> vpn:int -> bool
 (** [false] also when invalid or out of range. *)

@@ -19,7 +19,7 @@ let create ~entries =
     shootdowns = 0;
   }
 
-let access t ~vpn _pte =
+let access t ~vpn =
   let slot = t.slots.(vpn land t.mask) in
   if slot.vpn = vpn then t.hits <- t.hits + 1
   else begin

@@ -1,7 +1,7 @@
 (** A direct-mapped TLB model.
 
-    Translations are always re-checked against the page table (entries cache
-    the PTE itself), so the TLB exists to model *costs* and *shootdowns*:
+    Translations are always re-checked against the page table (entries hold
+    only the vpn), so the TLB exists to model *costs* and *shootdowns*:
     Rio's protection toggles must invalidate the entry for the page being
     opened or closed for writing, and the hit/miss counters feed the
     protection-overhead ablation. *)
@@ -12,7 +12,7 @@ val create : entries:int -> t
 (** [entries] must be a power of two (e.g. 64, matching small early-90s
     TLBs). *)
 
-val access : t -> vpn:int -> Pte.t -> unit
+val access : t -> vpn:int -> unit
 (** Record a translation for [vpn]; counts a hit if the slot already holds
     this vpn, else a miss plus a fill. *)
 

@@ -166,12 +166,15 @@ let test_invariant_after_crash () =
      still match the entries exactly. *)
   Disk.check_invariant d
 
-let test_invariant_after_zeros () =
+let test_invariant_after_sparse () =
   let _, d = fresh () in
   Disk.write_sync d ~sector:60 (sector_of_string "full");
-  Disk.write_zeros_sync d ~sector:60 ~count:4;
+  Disk.write_sync d ~sector:62 (sector_of_string "also");
+  Disk.write_sync_sparse d ~sector:60 ~count:4 [ (3, sector_of_string "kept") ];
   Disk.check_invariant d;
-  check Alcotest.bytes "zeroed" (Bytes.make Disk.sector_bytes '\000') (Disk.peek d ~sector:60)
+  check Alcotest.bytes "zeroed" (Bytes.make Disk.sector_bytes '\000') (Disk.peek d ~sector:60);
+  check Alcotest.bytes "zeroed" (Bytes.make Disk.sector_bytes '\000') (Disk.peek d ~sector:62);
+  check Alcotest.string "extent" "kept" (Bytes.sub_string (Disk.peek d ~sector:63) 0 4)
 
 let test_invariant_after_restore () =
   let engine, d = fresh () in
@@ -196,6 +199,114 @@ let test_checkpoint_refuses_queued () =
   (* After a drain the same checkpoint succeeds. *)
   Disk.drain d;
   ignore (Disk.checkpoint d : Disk.checkpoint)
+
+(* ---------------- sparse writes ----------------
+
+   [write_sync_sparse] must be indistinguishable from [write_sync] of the
+   materialized buffer: same platter contents, statistics, clock and
+   completion callbacks. Two disks start from the same random platter,
+   one takes the materialized write and the other the sparse one. *)
+
+let twin backend =
+  let make () =
+    let engine = Engine.create () in
+    let d = Disk.create ~backend ~engine ~costs:Costs.default ~sectors:4096 ~seed:5 () in
+    let completions = ref [] in
+    Disk.set_on_complete d (fun ~sector ~count ~write ->
+        completions := (sector, count, write, Engine.now engine) :: !completions);
+    (engine, d, completions)
+  in
+  (make (), make ())
+
+let random_sector prng =
+  (* Mostly non-zero, sometimes all-zero, sometimes one stray byte. *)
+  match Random.State.int prng 4 with
+  | 0 -> Bytes.make Disk.sector_bytes '\000'
+  | 1 ->
+    let b = Bytes.make Disk.sector_bytes '\000' in
+    Bytes.set b (Random.State.int prng Disk.sector_bytes) 'x';
+    b
+  | _ -> Bytes.init Disk.sector_bytes (fun _ -> Char.chr (Random.State.int prng 256))
+
+let random_extents prng ~count =
+  let rec go next acc =
+    if next >= count || Random.State.int prng 5 = 0 then List.rev acc
+    else begin
+      let off = next + Random.State.int prng (min 8 (count - next)) in
+      let n = 1 + Random.State.int prng (min 6 (count - off)) in
+      let data = Bytes.concat Bytes.empty (List.init n (fun _ -> random_sector prng)) in
+      go (off + n) ((off, data) :: acc)
+    end
+  in
+  go 0 []
+
+let materialize ~count extents =
+  let b = Bytes.make (count * Disk.sector_bytes) '\000' in
+  List.iter
+    (fun (off, data) -> Bytes.blit data 0 b (off * Disk.sector_bytes) (Bytes.length data))
+    extents;
+  b
+
+let check_twins msg ((e1, d1, c1), (e2, d2, c2)) =
+  for sector = 0 to Disk.capacity_sectors d1 - 1 do
+    if not (Bytes.equal (Disk.peek d1 ~sector) (Disk.peek d2 ~sector)) then
+      Alcotest.failf "%s: sector %d differs" msg sector
+  done;
+  check Alcotest.bool (msg ^ ": stats") true (Disk.stats d1 = Disk.stats d2);
+  check Alcotest.int (msg ^ ": clock") (Engine.now e1) (Engine.now e2);
+  check Alcotest.(list (pair (pair int int) (pair bool int))) (msg ^ ": completions")
+    (List.map (fun (s, n, w, t) -> ((s, n), (w, t))) !c1)
+    (List.map (fun (s, n, w, t) -> ((s, n), (w, t))) !c2);
+  Disk.check_invariant d1;
+  Disk.check_invariant d2
+
+let test_sparse_matches_write_sync backend () =
+  let prng = Random.State.make [| 12 |] in
+  let ((_, d1, _), (_, d2, _)) as twins = twin backend in
+  (* The same random platter on both, so the sparse commit has entries to
+     overwrite and to sweep away. *)
+  for _ = 1 to 300 do
+    let sector = Random.State.int prng 600 and data = random_sector prng in
+    Disk.poke d1 ~sector data;
+    Disk.poke d2 ~sector data
+  done;
+  for round = 1 to 40 do
+    let count = 1 + Random.State.int prng 64 in
+    let sector = Random.State.int prng (600 - count) in
+    let extents = random_extents prng ~count in
+    Disk.write_sync d1 ~sector (materialize ~count extents);
+    Disk.write_sync_sparse d2 ~sector ~count extents;
+    check_twins (Printf.sprintf "round %d" round) twins
+  done;
+  (* Degenerate shapes: no extents (all zeros), one extent covering it all. *)
+  Disk.write_sync d1 ~sector:100 (materialize ~count:16 []);
+  Disk.write_sync_sparse d2 ~sector:100 ~count:16 [];
+  let full = [ (0, Bytes.concat Bytes.empty (List.init 16 (fun _ -> random_sector prng))) ] in
+  Disk.write_sync d1 ~sector:200 (materialize ~count:16 full);
+  Disk.write_sync_sparse d2 ~sector:200 ~count:16 full;
+  check_twins "degenerate" twins
+
+let test_sparse_rejects_bad_extents () =
+  let engine, d = fresh () in
+  let sec = sector_of_string "x" in
+  let bad =
+    [
+      ("overlap", [ (0, Bytes.cat sec sec); (1, sec) ]);
+      ("unsorted", [ (3, sec); (1, sec) ]);
+      ("partial sector", [ (0, Bytes.of_string "short") ]);
+      ("past count", [ (3, Bytes.cat sec sec) ]);
+      ("negative offset", [ (-1, sec) ]);
+    ]
+  in
+  List.iter
+    (fun (name, extents) ->
+      match Disk.write_sync_sparse d ~sector:10 ~count:4 extents with
+      | () -> Alcotest.failf "%s: accepted" name
+      | exception Invalid_argument _ -> ())
+    bad;
+  (* A rejected request never reached the disk. *)
+  check Alcotest.int "no time charged" 0 (Engine.now engine);
+  check Alcotest.int "no writes counted" 0 (Disk.stats d).Disk.writes
 
 let () =
   Alcotest.run "rio_disk"
@@ -227,9 +338,17 @@ let () =
         [
           Alcotest.test_case "after poke (incl. all-zero)" `Quick test_invariant_after_poke;
           Alcotest.test_case "after crash tear" `Quick test_invariant_after_crash;
-          Alcotest.test_case "after write_zeros_sync" `Quick test_invariant_after_zeros;
+          Alcotest.test_case "after write_sync_sparse" `Quick test_invariant_after_sparse;
           Alcotest.test_case "after checkpoint/restore" `Quick test_invariant_after_restore;
           Alcotest.test_case "checkpoint refuses queued writes" `Quick
             test_checkpoint_refuses_queued;
+        ] );
+      ( "sparse",
+        [
+          Alcotest.test_case "matches write_sync (scsi)" `Quick
+            (test_sparse_matches_write_sync Rio_disk.Backend.Scsi);
+          Alcotest.test_case "matches write_sync (nvmm)" `Quick
+            (test_sparse_matches_write_sync Rio_disk.Backend.Nvmm);
+          Alcotest.test_case "rejects malformed extents" `Quick test_sparse_rejects_bad_extents;
         ] );
     ]

@@ -65,6 +65,131 @@ let make_env_on env =
   }
 
 
+(* ---------------- free counts ----------------
+
+   Mount seeds its free counters, and statfs recounts, with one meta_get
+   and a popcount per bitmap sector. The model is the per-bit scan they
+   replaced — one bitmap lookup through the meta cache per index — and
+   both must agree on the counts, the cache statistics, the LRU ticks,
+   the clock and the disk. The geometry gives both bitmaps several
+   sectors with a partial last one. *)
+
+let bitmap_geometry =
+  { Fs.total_sectors = 160_000; inode_count = 4096 + 904; swap_sectors = 4096;
+    journal_sectors = 2048 }
+
+let bitmap_env () =
+  let env = make_env () in
+  let disk = Disk.create ~engine:env.engine ~costs:Costs.default ~sectors:160_000 ~seed:3 () in
+  Fs.mkfs ~disk bitmap_geometry;
+  let sb = Ondisk.read_superblock (Disk.peek disk ~sector:0) in
+  (* Random allocation state, garbage past the last bit included: a bitmap
+     sector is whole on disk even when the bitmap ends inside it. *)
+  let prng = Random.State.make [| 21 |] in
+  let scribble start sectors =
+    for s = start to start + sectors - 1 do
+      Disk.poke disk ~sector:s
+        (Bytes.init Disk.sector_bytes (fun _ ->
+             if Random.State.int prng 3 = 0 then '\000' else Char.chr (Random.State.int prng 256)))
+    done
+  in
+  scribble sb.Ondisk.ibitmap_start sb.Ondisk.ibitmap_sectors;
+  scribble sb.Ondisk.bbitmap_start sb.Ondisk.bbitmap_sectors;
+  ({ env with disk }, sb)
+
+let bits_per_sector = 8 * Disk.sector_bytes
+
+(* Free bits among the first [n], read straight off the platter. *)
+let platter_free disk ~start n =
+  let free = ref 0 in
+  for i = 0 to n - 1 do
+    let sector = Disk.peek disk ~sector:(start + (i / bits_per_sector)) in
+    if Char.code (Bytes.get sector (i / 8 mod Disk.sector_bytes)) land (1 lsl (i mod 8)) = 0 then
+      incr free
+  done;
+  !free
+
+(* The per-bit scan through the meta cache, as mount and statfs did it. *)
+let per_bit_free env fs ~start n =
+  let meta = Fs.meta_cache fs in
+  let free = ref 0 in
+  for i = 0 to n - 1 do
+    let sector = start + (i / bits_per_sector) in
+    let e =
+      Block_cache.get meta ~blkno:(sector - (sector mod Fs_types.sectors_per_block))
+        ~owner:Fs_types.Meta ~fill:Block_cache.From_disk
+    in
+    e.Block_cache.pinned <- true;
+    let addr =
+      e.Block_cache.paddr
+      + (sector mod Fs_types.sectors_per_block * Disk.sector_bytes)
+      + (i / 8 mod Disk.sector_bytes)
+    in
+    if Phys_mem.read_u8 env.mem addr land (1 lsl (i mod 8)) = 0 then incr free
+  done;
+  !free
+
+let cache_state fs =
+  let entries = ref [] in
+  Block_cache.iter (Fs.meta_cache fs) (fun e ->
+      entries :=
+        (e.Block_cache.blkno, e.Block_cache.paddr, e.Block_cache.tick, e.Block_cache.pinned,
+         e.Block_cache.dirty)
+        :: !entries);
+  (Block_cache.stats (Fs.meta_cache fs), List.rev !entries)
+
+let test_mount_free_counts () =
+  let env, sb = bitmap_env () in
+  check Alcotest.bool "inode bitmap ends mid-sector" true
+    (sb.Ondisk.inode_count mod bits_per_sector <> 0 && sb.Ondisk.inode_count > bits_per_sector);
+  check Alcotest.bool "block bitmap ends mid-sector" true
+    (sb.Ondisk.data_blocks mod bits_per_sector <> 0 && sb.Ondisk.data_blocks > bits_per_sector);
+  let expected =
+    ( platter_free env.disk ~start:sb.Ondisk.ibitmap_start sb.Ondisk.inode_count,
+      platter_free env.disk ~start:sb.Ondisk.bbitmap_start sb.Ondisk.data_blocks )
+  in
+  let fs = mount env Fs.Rio_policy in
+  check Alcotest.(pair int int) "mount's counters" expected (Fs.free_counts fs);
+  (* Mount looked every bit up once, the first lookup of each bitmap page
+     a miss: per bit, one hit or one miss. *)
+  let s = Block_cache.stats (Fs.meta_cache fs) in
+  let bitmap_pages =
+    let page s = s / Fs_types.sectors_per_block in
+    List.sort_uniq compare
+      (List.init sb.Ondisk.ibitmap_sectors (fun k -> page (sb.Ondisk.ibitmap_start + k))
+      @ List.init
+          ((sb.Ondisk.data_blocks + bits_per_sector - 1) / bits_per_sector)
+          (fun k -> page (sb.Ondisk.bbitmap_start + k)))
+  in
+  (* Plus the superblock page: one miss, and the two hits of mount's
+     dirty-mark and write-back. *)
+  check Alcotest.int "misses" (List.length bitmap_pages + 1) s.Block_cache.misses;
+  check Alcotest.int "hits"
+    (sb.Ondisk.inode_count + sb.Ondisk.data_blocks - List.length bitmap_pages + 2)
+    s.Block_cache.hits
+
+let test_statfs_matches_per_bit_scan () =
+  let env_a, sb = bitmap_env () and env_b, _ = bitmap_env () in
+  let fs_a = mount env_a Fs.Rio_policy and fs_b = mount env_b Fs.Rio_policy in
+  List.iter
+    (fun phase ->
+      if phase = "cold" then begin
+        Fs.remount_cold fs_a;
+        Fs.remount_cold fs_b
+      end;
+      let st = Fs.statfs fs_a in
+      Engine.advance_by env_b.engine Costs.default.Costs.syscall_overhead;
+      let inodes = per_bit_free env_b fs_b ~start:sb.Ondisk.ibitmap_start sb.Ondisk.inode_count in
+      let blocks = per_bit_free env_b fs_b ~start:sb.Ondisk.bbitmap_start sb.Ondisk.data_blocks in
+      check Alcotest.(pair int int) (phase ^ ": counts") (inodes, blocks)
+        (st.Fs.inodes_free, st.Fs.blocks_free);
+      check Alcotest.bool (phase ^ ": meta cache stats, ticks and pins") true
+        (cache_state fs_a = cache_state fs_b);
+      check Alcotest.int (phase ^ ": clock") (Engine.now env_b.engine) (Engine.now env_a.engine);
+      check Alcotest.bool (phase ^ ": disk stats") true
+        (Disk.stats env_a.disk = Disk.stats env_b.disk))
+    [ "cold"; "warm" ]
+
 (* ---------------- on-disk formats ---------------- *)
 
 let test_superblock_roundtrip () =
@@ -872,6 +997,13 @@ let () =
           Alcotest.test_case "many files per dir" `Quick test_many_files_in_dir;
         ] );
       ("statfs", [ Alcotest.test_case "accounting" `Quick test_statfs ]);
+      ( "free counts",
+        [
+          Alcotest.test_case "mount seeds counters per bitmap sector" `Quick
+            test_mount_free_counts;
+          Alcotest.test_case "statfs matches the per-bit scan" `Quick
+            test_statfs_matches_per_bit_scan;
+        ] );
       ( "symlinks",
         [
           Alcotest.test_case "follow" `Quick test_symlink_follow;

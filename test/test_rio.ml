@@ -187,6 +187,128 @@ let prop_registry_parse_never_crashes =
           && e.Registry.home_paddr mod Phys_mem.page_size = 0)
         parsed.Registry.entries)
 
+(* Free-slot order. The registry hands out slots exactly as a LIFO free
+   list seeded with [List.init capacity] would; that list is the model.
+   Slot numbers are read back from simulated memory: the slot whose home
+   field names the page. *)
+
+let slot_of mem region ~home_paddr =
+  let cap = region.Layout.bytes / Registry.entry_bytes in
+  let rec find s =
+    if s >= cap then None
+    else
+      let a = region.Layout.base + (s * Registry.entry_bytes) in
+      if Phys_mem.read_u8 mem (a + 34) <> 0 && Phys_mem.read_u64 mem (a + 8) = home_paddr then
+        Some s
+      else find (s + 1)
+  in
+  find 0
+
+type slot_model = { mutable free : int list; slots : (int, int) Hashtbl.t }
+
+let model_register m home =
+  if not (Hashtbl.mem m.slots home) then
+    match m.free with
+    | slot :: rest ->
+      m.free <- rest;
+      Hashtbl.replace m.slots home slot
+    | [] -> Alcotest.fail "model full"
+
+let model_unregister m home =
+  match Hashtbl.find_opt m.slots home with
+  | Some slot ->
+    Hashtbl.remove m.slots home;
+    m.free <- slot :: m.free
+  | None -> ()
+
+let register_page reg home =
+  Registry.register reg ~home_paddr:home ~dev:1 ~ino:3 ~offset:0 ~size:100 ~blkno:7
+    ~kind:Registry.Data_buffer ~checksum:1
+
+let check_slots msg mem region reg m =
+  check Alcotest.int (msg ^ ": live") (Hashtbl.length m.slots) (Registry.live_entries reg);
+  Hashtbl.iter
+    (fun home slot ->
+      check Alcotest.(option int) (Printf.sprintf "%s: slot of page 0x%x" msg home) (Some slot)
+        (slot_of mem region ~home_paddr:home))
+    m.slots
+
+let random_slot_ops prng mem region reg m ~steps ~pages =
+  for step = 1 to steps do
+    let home = Random.State.int prng pages * Phys_mem.page_size in
+    if Random.State.int prng 3 > 0 then begin
+      register_page reg home;
+      model_register m home
+    end
+    else begin
+      Registry.unregister reg ~home_paddr:home;
+      model_unregister m home
+    end;
+    if step mod 25 = 0 then check_slots (Printf.sprintf "step %d" step) mem region reg m
+  done
+
+let test_registry_slot_order () =
+  let mem, layout, reg = registry_fixture () in
+  let region = Layout.region layout Layout.Registry in
+  let m = { free = List.init (Registry.capacity reg) Fun.id; slots = Hashtbl.create 64 } in
+  random_slot_ops (Random.State.make [| 3 |]) mem region reg m ~steps:600 ~pages:48;
+  check_slots "end" mem region reg m
+
+let test_registry_full () =
+  let _, _, reg = registry_fixture () in
+  for i = 0 to Registry.capacity reg - 1 do
+    register_page reg (i * Phys_mem.page_size)
+  done;
+  (match register_page reg (Registry.capacity reg * Phys_mem.page_size) with
+  | () -> Alcotest.fail "registered past capacity"
+  | exception Rio_fs.Fs_types.Fs_error _ -> ());
+  (* A released slot is reusable at once. *)
+  Registry.unregister reg ~home_paddr:(5 * Phys_mem.page_size);
+  register_page reg (Registry.capacity reg * Phys_mem.page_size);
+  check Alcotest.int "full again" (Registry.capacity reg) (Registry.live_entries reg)
+
+let test_registry_checkpoint_slots () =
+  (* Checkpoint mid-history (released slots pending and the never-used
+     cursor part-way), wander off, restore: the restored registry must hand
+     out the same slots as the model restored to the same point. *)
+  let mem, layout, reg = registry_fixture () in
+  let region = Layout.region layout Layout.Registry in
+  let prng = Random.State.make [| 9 |] in
+  let m = { free = List.init (Registry.capacity reg) Fun.id; slots = Hashtbl.create 64 } in
+  random_slot_ops prng mem region reg m ~steps:200 ~pages:32;
+  let ck = Registry.checkpoint reg in
+  let snap = Phys_mem.snapshot mem in
+  let m_free = m.free and m_slots = Hashtbl.copy m.slots in
+  random_slot_ops prng mem region reg m ~steps:200 ~pages:64;
+  Phys_mem.restore mem snap;
+  Registry.restore reg ck;
+  let m = { free = m_free; slots = m_slots } in
+  check_slots "restored" mem region reg m;
+  random_slot_ops (Random.State.make [| 10 |]) mem region reg m ~steps:200 ~pages:64;
+  check_slots "after restore" mem region reg m
+
+let prop_registry_parse_classifies_slots =
+  (* A slot is free iff all 40 of its bytes are zero (the byte-wise rule
+     the word-wise scan replaced): every other slot is an entry or corrupt. *)
+  QCheck.Test.make ~name:"parse counts every non-zero slot" ~count:100
+    QCheck.(list (pair (int_range 0 4000) (int_range 0 255)))
+    (fun writes ->
+      let mem, layout, _reg = registry_fixture () in
+      let region = Layout.region layout Layout.Registry in
+      List.iter
+        (fun (off, v) ->
+          if off < region.Layout.bytes then Phys_mem.write_u8 mem (region.Layout.base + off) v)
+        writes;
+      let image = Phys_mem.dump mem in
+      let parsed = Registry.parse_image ~image ~region ~mem_bytes:(Bytes.length image) in
+      let nonzero = ref 0 in
+      for slot = 0 to (region.Layout.bytes / Registry.entry_bytes) - 1 do
+        let pos = region.Layout.base + (slot * Registry.entry_bytes) in
+        if Bytes.exists (fun c -> c <> '\000') (Bytes.sub image pos Registry.entry_bytes) then
+          incr nonzero
+      done;
+      List.length parsed.Registry.entries + parsed.Registry.corrupt_slots = !nonzero)
+
 (* ---------------- protection ---------------- *)
 
 let test_protect_disabled_is_noop () =
@@ -423,6 +545,12 @@ let () =
           Alcotest.test_case "plausible checks dev" `Quick test_registry_plausible_checks_dev;
           Alcotest.test_case "parse rejects garbage" `Quick test_registry_parse_rejects_garbage;
           QCheck_alcotest.to_alcotest prop_registry_parse_never_crashes;
+          QCheck_alcotest.to_alcotest prop_registry_parse_classifies_slots;
+          Alcotest.test_case "slot order matches free-list model" `Quick
+            test_registry_slot_order;
+          Alcotest.test_case "full, then a released slot is reused" `Quick test_registry_full;
+          Alcotest.test_case "checkpoint/restore keeps slot order" `Quick
+            test_registry_checkpoint_slots;
         ] );
       ( "protect",
         [
