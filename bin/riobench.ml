@@ -88,13 +88,12 @@ let reference_arg =
            full-copy swap dumps. Results are byte-identical to the fast \
            path; only wall-clock time differs. For cross-validation.")
 
-(* Both knobs are global and must be set before any worker domains spawn —
-   every run_* entry point calls this first. Reference mode also rebuilds
-   every trial world from scratch instead of restoring a frozen template,
-   so it cross-validates the snapshot/restore path end to end. *)
-let set_fastpath ~reference =
-  Rio_util.Fastpath.set (not reference);
-  Rio_world.World.set_use_templates (not reference)
+(* The knob is global and must be set before any worker domains spawn —
+   every run_* entry point calls this first. Reference mode also makes the
+   trial engine build every trial world from scratch instead of restoring
+   a frozen template, so it cross-validates the snapshot/restore path end
+   to end. *)
+let set_fastpath ~reference = Rio_util.Fastpath.set (not reference)
 
 let ring_capacity_arg =
   Arg.(
@@ -1077,7 +1076,7 @@ let cpu_probe ~fast =
    timings accumulate into the caller's [detail] array (boot / format /
    mount / seed-files), which stays local to one probe run so concurrent
    runs never share an accumulator. *)
-let build_world ?(detail = Array.make 4 0.0) ~seed () =
+let probe_world ?(detail = Array.make 4 0.0) ~seed () =
   let module Kernel = Rio_kernel.Kernel in
   let module Fs = Rio_fs.Fs in
   let sub i f =
@@ -1109,7 +1108,7 @@ let build_world ?(detail = Array.make 4 0.0) ~seed () =
 let reboot_probe ~seed =
   let module Kernel = Rio_kernel.Kernel in
   let module Fs = Rio_fs.Fs in
-  let engine, costs, kcfg, kernel, _fs = build_world ~seed () in
+  let engine, costs, kcfg, kernel, _fs = probe_world ~seed () in
   time (fun () ->
       ignore
         (Rio_core.Warm_reboot.perform ~mem:(Kernel.mem kernel) ~disk:(Kernel.disk kernel)
@@ -1163,7 +1162,7 @@ let step_probe ~seed ~steps =
   let module Memtest = Rio_workload.Memtest in
   let module Andrew = Rio_workload.Andrew in
   let module Script = Rio_workload.Script in
-  let _engine, _costs, _kcfg, kernel, fs = build_world ~seed () in
+  let _engine, _costs, _kcfg, kernel, fs = probe_world ~seed () in
   let mt =
     Memtest.create
       { Memtest.default_config with Memtest.seed = seed lxor 0x77; max_files = 24 }
@@ -1218,7 +1217,7 @@ let run_microbench seed json reference _verbose =
   let (), world_s =
     time (fun () ->
         for i = 1 to world_iters do
-          let _, _, _, kernel, _ = build_world ~detail ~seed:(seed + i) () in
+          let _, _, _, kernel, _ = probe_world ~detail ~seed:(seed + i) () in
           (* Recycle as a campaign trial would — steady-state boot cost. *)
           Rio_mem.Phys_mem.retire (Rio_kernel.Kernel.mem kernel)
         done)

@@ -1,12 +1,4 @@
-module Engine = Rio_sim.Engine
-module Costs = Rio_sim.Costs
-module Kernel = Rio_kernel.Kernel
 module Fs = Rio_fs.Fs
-module Fs_types = Rio_fs.Fs_types
-module Phys_mem = Rio_mem.Phys_mem
-module Rio_cache = Rio_core.Rio_cache
-module Warm_reboot = Rio_core.Warm_reboot
-module Trace = Rio_obs.Trace
 module Forensics = Rio_obs.Forensics
 module Pool = Rio_parallel.Pool
 module Run = Rio_harness.Run
@@ -16,7 +8,7 @@ module Json = Rio_util.Json
 module Sched = Rio_task.Sched
 module Task = Rio_task.Task
 
-type spec = {
+type spec = Trial.spec = {
   label : string;
   protection : bool;
   shadow : bool;
@@ -86,14 +78,6 @@ type report = {
 
 (* ---------------- one trial ---------------- *)
 
-let make_rio ~spec kernel =
-  ignore
-    (Rio_cache.create ~shadow:spec.shadow ~registry:spec.registry ~mem:(Kernel.mem kernel)
-       ~layout:(Kernel.layout kernel) ~mmu:(Kernel.mmu kernel) ~engine:(Kernel.engine kernel)
-       ~costs:(Kernel.costs kernel) ~hooks:(Kernel.hooks kernel)
-       ~pool_alloc:(Kernel.pool_alloc kernel) ~protection:spec.protection ~dev:1 ()
-      : Rio_cache.t)
-
 type outcome = Completed | Crashed of string list
 
 type trial = {
@@ -102,125 +86,29 @@ type trial = {
   crasher : string option;  (** Which task's boundary tripped (multi only). *)
 }
 
-(* ---------------- world templates ---------------- *)
+(* A scenario's [setup] is its template payload (it is trip-independent),
+   so a trip pass costs only the armed [op] plus the restore. *)
+let scenario_kind : unit Trial.kind = Trial.kind "scenario"
 
-(* Trials rent a frozen {!World} per (spec, seed, scenario) and rewind it
-   in O(dirty pages) instead of rebooting; see the fuzzer's cache for the
-   full rationale. The scenario's [setup] is part of the template (it is
-   trip-independent), so a trip pass costs only the armed [op] plus the
-   restore. Traced replays and [--reference] build from scratch. *)
-
-let build_world ~obs ~spec ~seed =
-  World.create ~obs ~protection:spec.protection ~shadow:spec.shadow ~registry:spec.registry
-    ~policy:spec.policy ~backend:spec.backend ~wb_unordered:spec.wb_unordered ~seed ()
-
-let attach_probe ~obs w =
-  let probe = Boundary.create ~mem:(World.mem w) ~obs () in
-  Boundary.instrument_hooks probe (World.hooks w);
-  Boundary.instrument_disk probe (World.disk w);
-  probe
-
-type tpl = { tw : World.t; tprobe : Boundary.t }
-
-(* One run touches every scenario of one (spec, seed): all of
-   [Scenario.all] plus the multis must fit, or the counting pass evicts
-   the template every job needs right back. *)
-let cache_cap = 8
-
-let caches = Domain.DLS.new_key (fun () : (string, tpl) Hashtbl.t -> Hashtbl.create 8)
-
-let template ~(spec : spec) ~seed ~slug ~setup =
-  let c = Domain.DLS.get caches in
-  let key =
-    Printf.sprintf "%s@%s/%d/%s" spec.label (Rio_disk.Backend.to_string spec.backend) seed slug
-  in
-  let e =
-    match Hashtbl.find_opt c key with
-    | Some e -> e
-    | None ->
-      if Hashtbl.length c >= cache_cap then begin
-        Hashtbl.iter
-          (fun _ e ->
-            Boundary.drop_capture e.tprobe;
-            World.dispose e.tw)
-          c;
-        Hashtbl.reset c
-      end;
-      let w = build_world ~obs:Trace.null ~spec ~seed in
-      let probe = attach_probe ~obs:Trace.null w in
-      setup (World.fs w);
-      World.on_restore w (fun () -> Boundary.drop_capture probe);
-      World.freeze w;
-      let e = { tw = w; tprobe = probe } in
-      Hashtbl.replace c key e;
-      e
-  in
-  (* Restore at trial START: an exception escaping one trial can never
-     poison the next renter. *)
-  ignore (World.restore e.tw : int);
-  e
-
-(* Restore the captured crash image over memory, warm-reboot on the
-   surviving DRAM, and run [check] against the remounted file system. *)
-let crash_audit ~spec w probe ~check =
-  let engine = World.engine w in
-  let kernel = World.kernel w in
-  assert (Boundary.has_crash_image probe);
-  Fs.crash (World.fs w);
-  Boundary.restore_crash_image probe;
-  let recovered = ref None in
-  ignore
-    (Warm_reboot.perform ~mem:(World.mem w) ~disk:(World.disk w) ~layout:(World.layout w)
-       ~engine
-       ~reboot:(fun () ->
-         let kernel2 =
-           Kernel.boot_warm ~engine ~costs:(World.costs w) (World.config w)
-             ~mem:(Kernel.mem kernel) ~disk:(Kernel.disk kernel)
-         in
-         make_rio ~spec kernel2;
-         let fs2 = Kernel.mount kernel2 ~policy:spec.policy in
-         recovered := Some fs2;
-         fs2)
-      : Warm_reboot.report);
-  let fs2 = match !recovered with Some f -> f | None -> assert false in
-  try check fs2 with Fs_types.Fs_error m -> [ "recovery check raised: " ^ m ]
-
-(* Run [scenario] on an already-set-up world with the probe armed at
-   [trip] ([-1] = count only), and — if the probe fired — audit the
-   recovery. Every trial is a pure function of (spec, seed, scenario,
-   trip), which is what lets the schedule shard across domains. *)
-let trial_body ~spec w probe (scenario : Scenario.t) ~trip =
-  Boundary.arm probe ~trip_at:trip;
-  let crashed =
-    match scenario.Scenario.op ~vista_hook:(Boundary.vista_event probe) (World.fs w) with
-    | () -> false
-    | exception Boundary.Crash_here -> true
-  in
-  Boundary.disarm probe;
-  let trial_labels = Boundary.labels probe in
+(* Run a job's armed body on a rented world with the probe set to trip at
+   [trip] ([-1] = count only) and — if the probe fired — audit the warm
+   recovery with [check]. Every trial is a pure function of (spec, seed,
+   scenario, trip), which is what lets the schedule shard across
+   domains. *)
+let trial ?(crasher = fun () -> None) r ~trip ~check body =
+  let crashed = Trial.armed r ~trip body in
+  let trial_labels = Boundary.labels r.Trial.probe in
   if not crashed then { trial_labels; outcome = Completed; crasher = None }
-  else begin
-    let problems = crash_audit ~spec w probe ~check:scenario.Scenario.check in
-    { trial_labels; outcome = Crashed problems; crasher = None }
-  end
+  else
+    let crasher = crasher () in
+    { trial_labels; outcome = Crashed (Trial.audit r ~cold:false ~check); crasher }
 
-let run_trial ?(obs = Trace.null) ~spec ~seed scenario ~trip =
-  if (not (Trace.enabled obs)) && World.templates_on () then begin
-    let e =
-      template ~spec ~seed ~slug:scenario.Scenario.slug ~setup:scenario.Scenario.setup
-    in
-    trial_body ~spec e.tw e.tprobe scenario ~trip
-  end
-  else begin
-    let w = build_world ~obs ~spec ~seed in
-    let probe = attach_probe ~obs w in
-    scenario.Scenario.setup (World.fs w);
-    Fun.protect
-      ~finally:(fun () ->
-        Boundary.drop_capture probe;
-        World.dispose w)
-      (fun () -> trial_body ~spec w probe scenario ~trip)
-  end
+let run_trial ?obs ~spec ~seed (scenario : Scenario.t) ~trip =
+  Trial.run ?obs ~spec ~seed ~kind:scenario_kind ~key:scenario.Scenario.slug
+    ~setup:(fun w -> scenario.Scenario.setup (World.fs w))
+  @@ fun r ->
+  trial r ~trip ~check:scenario.Scenario.check (fun () ->
+      scenario.Scenario.op ~vista_hook:(Boundary.vista_event r.Trial.probe) (World.fs r.Trial.world))
 
 (* The multi-task trial: same cycle, but the scenario's task bodies run
    as scheduler fibers under a seeded interleaving, with every boundary
@@ -229,8 +117,11 @@ let run_trial ?(obs = Trace.null) ~spec ~seed scenario ~trip =
    replay follows the identical interleaving up to the crash. One
    template serves every (sched_seed, trip) of a multi scenario — the
    interleaving is attempt state, not world state. *)
-let trial_multi_body ~spec w probe (m : Scenario.multi) ~sched_seed ~trip =
-  let fs = World.fs w in
+let run_trial_multi ?obs ~spec ~seed ~sched_seed (m : Scenario.multi) ~trip =
+  Trial.run ?obs ~spec ~seed ~kind:scenario_kind ~key:m.Scenario.m_slug
+    ~setup:(fun w -> m.Scenario.m_setup (World.fs w))
+  @@ fun r ->
+  let probe = r.Trial.probe and fs = World.fs r.Trial.world in
   let sched = Sched.create ~seed:sched_seed in
   Sched.set_on_point sched (Boundary.point probe);
   Boundary.set_on_emit probe (fun _ -> Sched.preempt sched);
@@ -239,36 +130,9 @@ let trial_multi_body ~spec w probe (m : Scenario.multi) ~sched_seed ~trip =
       let th = Task.make ~id:i ~name:(Printf.sprintf "t%d" i) in
       Sched.spawn sched th (fun task -> body sched task fs))
     m.Scenario.m_tasks;
-  Boundary.arm probe ~trip_at:trip;
-  let crashed =
-    match Sched.run sched with
-    | () -> false
-    | exception Boundary.Crash_here -> true
-  in
-  Boundary.disarm probe;
-  let crasher = Option.map Task.name (Sched.crashed sched) in
-  let trial_labels = Boundary.labels probe in
-  if not crashed then { trial_labels; outcome = Completed; crasher = None }
-  else begin
-    let problems = crash_audit ~spec w probe ~check:m.Scenario.m_check in
-    { trial_labels; outcome = Crashed problems; crasher }
-  end
-
-let run_trial_multi ?(obs = Trace.null) ~spec ~seed ~sched_seed (m : Scenario.multi) ~trip =
-  if (not (Trace.enabled obs)) && World.templates_on () then begin
-    let e = template ~spec ~seed ~slug:m.Scenario.m_slug ~setup:m.Scenario.m_setup in
-    trial_multi_body ~spec e.tw e.tprobe m ~sched_seed ~trip
-  end
-  else begin
-    let w = build_world ~obs ~spec ~seed in
-    let probe = attach_probe ~obs w in
-    m.Scenario.m_setup (World.fs w);
-    Fun.protect
-      ~finally:(fun () ->
-        Boundary.drop_capture probe;
-        World.dispose w)
-      (fun () -> trial_multi_body ~spec w probe m ~sched_seed ~trip)
-  end
+  trial r ~trip ~check:m.Scenario.m_check
+    ~crasher:(fun () -> Option.map Task.name (Sched.crashed sched))
+    (fun () -> Sched.run sched)
 
 (* ---------------- the exhaustive run ---------------- *)
 
@@ -399,11 +263,12 @@ let violation_count r =
 (* ---------------- rendering ---------------- *)
 
 let spec_line (spec : spec) =
-  Printf.sprintf "%s (protection %s, shadow %s, registry %s, backend %s)" spec.label
+  Printf.sprintf "%s (protection %s, shadow %s, registry %s, backend %s%s)" spec.label
     (if spec.protection then "on" else "off")
     (if spec.shadow then "on" else "off")
     (if spec.registry then "on" else "off")
     (Rio_disk.Backend.to_string spec.backend)
+    (if spec.cold then ", cold recovery" else "")
 
 let render_violation buf ~slug v =
   Buffer.add_string buf

@@ -15,22 +15,19 @@
     reported as minimal counterexample narratives
     ({!Rio_obs.Forensics}). *)
 
-(** The Rio configuration under test. The two unsafe configurations exist
-    to validate the checker itself: a checker that cannot catch a known
-    hole proves nothing by finding no violations. *)
-type spec = {
+(** The Rio configuration under test ({!Trial.spec}). The two unsafe
+    configurations exist to validate the checker itself: a checker that
+    cannot catch a known hole proves nothing by finding no violations. *)
+type spec = Trial.spec = {
   label : string;
-  protection : bool;  (** MMU write protection (orthogonal to atomicity). *)
-  shadow : bool;  (** §2.3 shadow-paged metadata updates. *)
-  registry : bool;  (** §2.2 registry maintenance. *)
-  policy : Rio_fs.Fs.policy;  (** Mount policy (default [Rio_policy]). *)
-  backend : Rio_disk.Backend.kind;  (** Persistence backend under the world. *)
-  wb_unordered : bool;  (** Plant the write-behind ordering bug. *)
+  protection : bool;
+  shadow : bool;
+  registry : bool;
+  policy : Rio_fs.Fs.policy;
+  backend : Rio_disk.Backend.kind;
+  wb_unordered : bool;
   cold : bool;
-      (** Audit crashes with {e cold} recovery (fsck + remount, no warm
-          reboot) against the sync-durability contract. Fuzzer only; the
-          explorer's scenario checks assume the warm path. *)
-  expect_safe : bool;  (** What the matrix asserts about this config. *)
+  expect_safe : bool;
 }
 
 val rio_prot : spec
@@ -105,6 +102,11 @@ val violation_count : report -> int
 val render : report -> string
 (** Deterministic plain-text report: per-scenario table plus one
     counterexample block per violation. *)
+
+val spec_line : spec -> string
+(** One-line description of a configuration ("rio-prot (protection on,
+    shadow on, registry on, backend scsi)", plus ", cold recovery" for a
+    cold spec) — the header of every check and fuzz report. *)
 
 val spec_json : spec -> Rio_util.Json.t
 (** The configuration under test, as JSON (shared with the fuzzer). *)

@@ -1,11 +1,9 @@
 module Engine = Rio_sim.Engine
-module Costs = Rio_sim.Costs
 module Kernel = Rio_kernel.Kernel
 module Kcrash = Rio_kernel.Kcrash
 module Fs = Rio_fs.Fs
 module Fsck = Rio_fs.Fsck
 module Machine = Rio_cpu.Machine
-module Rio_cache = Rio_core.Rio_cache
 module Warm_reboot = Rio_core.Warm_reboot
 module Memtest = Rio_workload.Memtest
 module Andrew = Rio_workload.Andrew
@@ -96,21 +94,11 @@ let static_files_match fs =
     Bytes.equal a b && Bytes.equal a (Pattern.fill ~seed:static_seed ~len:24_000)
   | exception Rio_fs.Fs_types.Fs_error _ -> false
 
-let make_rio kernel ~protection =
-  Rio_cache.create ~mem:(Kernel.mem kernel) ~layout:(Kernel.layout kernel)
-    ~mmu:(Kernel.mmu kernel) ~engine:(Kernel.engine kernel) ~costs:(Kernel.costs kernel)
-    ~hooks:(Kernel.hooks kernel) ~pool_alloc:(Kernel.pool_alloc kernel) ~protection ~dev:1 ()
-
 let is_protection_trap = function
   | Some { Kcrash.cause = Kcrash.Trap (Machine.Protection_violation _); _ } -> true
   | Some _ | None -> false
 
 let run_one ?(obs = Trace.null) cfg system fault ~seed =
-  (* Extra memories booted during the trial (the Disk_based recovery path
-     boots a second one), recycled at the end alongside the world itself.
-     Retiring is skipped when the trial escapes with an exception — the GC
-     reclaims as before. *)
-  let trial_mems = ref [] in
   let policy, protection, fsync_writes =
     match system with
     | Disk_based -> (Fs.Ufs_default, None, true)
@@ -120,16 +108,16 @@ let run_one ?(obs = Trace.null) cfg system fault ~seed =
   (* The pristine post-mount world, via the same construction path the
      campaign engines template. No freeze here: every attempt's seed feeds
      the kernel PRNG at boot, so reliability trials never share a
-     template — the win is the single world-building code path (and the
-     retire-pooled memory). *)
+     template — the win is the single world-building and recovery code
+     path (and retire-pooled memory, the Disk_based cold reboot's
+     included; a trial that escapes with an exception skips the retire and
+     the GC reclaims as before). *)
   let w =
     World.create ~obs ~config:cfg.kernel_config ~rio:(protection <> None)
       ~protection:(protection = Some true) ~policy ~seed ()
   in
   let outcome =
   let engine = World.engine w in
-  let costs = World.costs w in
-  let kcfg = World.config w in
   let kernel = World.kernel w in
   let fs = World.fs w in
   make_static_files fs;
@@ -254,25 +242,9 @@ let run_one ?(obs = Trace.null) cfg system fault ~seed =
       match system with
       | Disk_based ->
         ignore (Fsck.run ~disk:(Kernel.disk kernel));
-        let kernel2 = Kernel.boot_on_disk ~engine ~costs kcfg ~disk:(Kernel.disk kernel) in
-        trial_mems := Kernel.mem kernel2 :: !trial_mems;
-        Kernel.mount kernel2 ~policy:Fs.Ufs_default
+        World.cold_reboot w
       | Rio_without_protection | Rio_with_protection ->
-        let prot = system = Rio_with_protection in
-        let fs_ref = ref None in
-        let report =
-          Warm_reboot.perform ~mem:(Kernel.mem kernel) ~disk:(Kernel.disk kernel)
-            ~layout:(Kernel.layout kernel) ~engine
-            ~reboot:(fun () ->
-              let kernel2 =
-                Kernel.boot_warm ~engine ~costs kcfg ~mem:(Kernel.mem kernel)
-                  ~disk:(Kernel.disk kernel)
-              in
-              ignore (make_rio kernel2 ~protection:prot);
-              let fs2 = Kernel.mount kernel2 ~policy:Fs.Rio_policy in
-              fs_ref := Some fs2;
-              fs2)
-        in
+        let report, fs2 = World.warm_reboot w in
         checksum_detected :=
           report.Warm_reboot.meta_verify.Warm_reboot.mismatched > 0
           || report.Warm_reboot.data_verify.Warm_reboot.mismatched > 0;
@@ -280,7 +252,7 @@ let run_one ?(obs = Trace.null) cfg system fault ~seed =
           report.Warm_reboot.meta_verify.Warm_reboot.changing
           + report.Warm_reboot.data_verify.Warm_reboot.changing;
         registry_corrupt := report.Warm_reboot.corrupt_registry_slots;
-        (match !fs_ref with Some fs2 -> fs2 | None -> assert false)
+        fs2
     in
     (* memTest reconstruction and comparison (§3.2). *)
     let replayed = Memtest.replay mt_config ~steps:(Memtest.steps_done mt) in
@@ -315,7 +287,6 @@ let run_one ?(obs = Trace.null) cfg system fault ~seed =
       forensics = (if Trace.enabled obs then Some (Forensics.summarize obs) else None);
     }
   in
-  List.iter Rio_mem.Phys_mem.retire !trial_mems;
   World.dispose w;
   outcome
 

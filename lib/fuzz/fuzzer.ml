@@ -1,24 +1,19 @@
-module Engine = Rio_sim.Engine
-module Costs = Rio_sim.Costs
-module Kernel = Rio_kernel.Kernel
 module Fs = Rio_fs.Fs
 module Fs_types = Rio_fs.Fs_types
-module Fsck = Rio_fs.Fsck
-module Phys_mem = Rio_mem.Phys_mem
-module Rio_cache = Rio_core.Rio_cache
-module Warm_reboot = Rio_core.Warm_reboot
 module Vista = Rio_txn.Vista
-module Trace = Rio_obs.Trace
 module Forensics = Rio_obs.Forensics
 module Pool = Rio_parallel.Pool
 module Run = Rio_harness.Run
 module World = Rio_world.World
 module Boundary = Rio_check.Boundary
 module Explorer = Rio_check.Explorer
+module Trial = Rio_check.Trial
 module Prng = Rio_util.Prng
 module Gen = Rio_workload.Script.Gen
 module Cov = Rio_cov.Cov
 module Json = Rio_util.Json
+module Task = Rio_task.Task
+module Sched = Rio_task.Sched
 
 exception Invalid_program
 
@@ -40,221 +35,65 @@ type attempt = {
   problems : string list;  (** Contract violations found after recovery. *)
 }
 
-let make_rio ~(spec : Explorer.spec) kernel =
-  ignore
-    (Rio_cache.create ~shadow:spec.Explorer.shadow ~registry:spec.Explorer.registry
-       ~mem:(Kernel.mem kernel) ~layout:(Kernel.layout kernel) ~mmu:(Kernel.mmu kernel)
-       ~engine:(Kernel.engine kernel) ~costs:(Kernel.costs kernel) ~hooks:(Kernel.hooks kernel)
-       ~pool_alloc:(Kernel.pool_alloc kernel) ~protection:spec.Explorer.protection ~dev:1 ()
-      : Rio_cache.t)
+(* The payload every single-task attempt runs against — the fuzz root, the
+   bystander and the Vista store — planted once per template; the store's
+   log cursors rewind with it. *)
+let single_kind : Program.world Trial.kind = Trial.kind "fuzz"
 
-(* ---------------- world templates ---------------- *)
+let setup_single w =
+  let pay = Program.setup (World.fs w) in
+  let vst = Vista.save pay.Program.store in
+  World.on_restore w (fun () -> Vista.restore pay.Program.store vst);
+  pay
 
-(* The expensive part of an attempt used to be the world build (boot +
-   format + mount + payload setup, ~ms each); every attempt now rents a
-   frozen {!World} template and rewinds it in O(dirty pages). Templates
-   are per-domain (worker domains are spawned fresh by each
-   [Pool.map_list], so the cache amortizes within one fan-out; the main
-   domain keeps its cache for the whole process at [-j 1]) and keyed by
-   everything the build depends on, so a restored world is byte-for-byte
-   the world a fresh build would produce. The [--reference] mode
-   ({!World.set_use_templates}[ false]) and any traced replay skip the
-   cache and build from scratch — same [attempt_body] either way. *)
-
-let build_world ~obs ~(spec : Explorer.spec) ~seed =
-  World.create ~obs ~protection:spec.Explorer.protection ~shadow:spec.Explorer.shadow
-    ~registry:spec.Explorer.registry ~policy:spec.Explorer.policy ~backend:spec.Explorer.backend
-    ~wb_unordered:spec.Explorer.wb_unordered ~seed ()
-
-let attach_probe ~obs w =
-  let probe = Boundary.create ~mem:(World.mem w) ~obs () in
-  Boundary.instrument_hooks probe (World.hooks w);
-  Boundary.instrument_disk probe (World.disk w);
-  probe
-
-type single_tpl = { sw : World.t; sprobe : Boundary.t; spay : Program.world }
-type tasks_tpl = { tw : World.t; tprobe : Boundary.t; tpay : Program.tworld }
-
-type cache = {
-  singles : (string, single_tpl) Hashtbl.t;
-  multis : (string, tasks_tpl) Hashtbl.t;
-}
-
-(* A campaign touches one (spec, seed) per worker at a time; the matrix
-   walks four specs. Blow the whole cache on overflow — eviction order
-   would otherwise be hash-table order, and nothing here needs LRU. *)
-let cache_cap = 4
-
-let caches =
-  Domain.DLS.new_key (fun () -> { singles = Hashtbl.create 8; multis = Hashtbl.create 8 })
-
-let evict_if_full tbl dispose =
-  if Hashtbl.length tbl >= cache_cap then begin
-    Hashtbl.iter (fun _ e -> dispose e) tbl;
-    Hashtbl.reset tbl
-  end
-
-let single_template ~(spec : Explorer.spec) ~seed =
-  let c = Domain.DLS.get caches in
-  let key =
-    Printf.sprintf "%s@%s/%d" spec.Explorer.label
-      (Rio_disk.Backend.to_string spec.Explorer.backend)
-      seed
-  in
-  let e =
-    match Hashtbl.find_opt c.singles key with
-    | Some e -> e
-    | None ->
-      evict_if_full c.singles (fun e ->
-          Boundary.drop_capture e.sprobe;
-          World.dispose e.sw);
-      let w = build_world ~obs:Trace.null ~spec ~seed in
-      let probe = attach_probe ~obs:Trace.null w in
-      let pay = Program.setup (World.fs w) in
-      let vst = Vista.save pay.Program.store in
-      World.on_restore w (fun () ->
-          Boundary.drop_capture probe;
-          Vista.restore pay.Program.store vst);
-      World.freeze w;
-      let e = { sw = w; sprobe = probe; spay = pay } in
-      Hashtbl.replace c.singles key e;
-      e
-  in
-  (* Restore at attempt START, not end: an exception escaping one attempt
-     (Invalid_program, most commonly) can never poison the next. *)
-  ignore (World.restore e.sw : int);
-  e
-
-(* The attempt proper, over an already-built world. Owns no lifecycle:
-   the template path rewinds before the next rental, the fresh path
-   disposes in its [Fun.protect]. *)
-let attempt_body ~(spec : Explorer.spec) w probe (pay : Program.world) ~ops ~trip =
-  let engine = World.engine w in
-  let kernel = World.kernel w in
-  let fs = World.fs w in
+let run_attempt ?obs ~(spec : Explorer.spec) ~seed ~ops ~trip () =
+  Trial.run ?obs ~spec ~seed ~kind:single_kind ~key:"" ~setup:setup_single @@ fun r ->
+  let probe = r.Trial.probe and pay = r.Trial.payload in
   Vista.set_observer pay.Program.store (Boundary.vista_event probe);
   let arr = Array.of_list ops in
   let n = Array.length arr in
   let op_starts = Array.make (n + 1) 0 in
-  Boundary.arm probe ~trip_at:trip;
-  let crashed = ref None in
-  (try
-     for k = 0 to n - 1 do
-       op_starts.(k) <- Boundary.emitted probe;
-       match Program.exec pay arr.(k) with
-       | () -> ()
-       | exception Boundary.Crash_here ->
-         crashed := Some k;
-         raise Stdlib.Exit
-       | exception Fs_types.Fs_error _ ->
-         (* Only shrinker-made sub-programs can be invalid; generated
-            programs are valid by construction. *)
-         Boundary.disarm probe;
-         raise Invalid_program
-     done
-   with Stdlib.Exit -> ());
-  Boundary.disarm probe;
+  let cur = ref 0 in
+  let crashed =
+    Trial.armed r ~trip (fun () ->
+        Array.iteri
+          (fun k op ->
+            cur := k;
+            op_starts.(k) <- Boundary.emitted probe;
+            (* Only shrinker-made sub-programs can be invalid; generated
+               programs are valid by construction. *)
+            try Program.exec pay op with Fs_types.Fs_error _ -> raise Invalid_program)
+          arr)
+  in
   let total = Boundary.emitted probe in
-  let filled_from = match !crashed with Some k -> k + 1 | None -> n in
+  let filled_from = if crashed then !cur + 1 else n in
   for i = filled_from to n do
     op_starts.(i) <- total
   done;
   let labels = Boundary.labels probe in
-  match !crashed with
-  | None ->
+  if not crashed then
     { boundaries = total; labels; op_starts; crashed_during = None; tripped = None; problems = [] }
-  | Some k ->
-    assert (Boundary.has_crash_image probe);
-    Fs.crash fs;
-    let tripped = Boundary.tripped_label probe in
-    let problems =
-      if spec.Explorer.cold then begin
-        (* Cold recovery: the memory image is LOST — drop the capture
-           instead of restoring it. Only the committed disk survives;
-           fsck repairs it and a fresh kernel boots on it. The audit is
-           the sync-durability contract ({!Program.check_cold}): data a
-           completed [Sync] pushed out must read back exact. *)
-        Boundary.drop_capture probe;
-        let report = Fsck.run ~disk:(World.disk w) in
-        if report.Fsck.unrecoverable then []
-        else begin
-          let kernel2 =
-            Kernel.boot_on_disk ~engine ~costs:(World.costs w) (World.config w)
-              ~disk:(Kernel.disk kernel)
-          in
-          make_rio ~spec kernel2;
-          let problems =
-            match Kernel.mount kernel2 ~policy:spec.Explorer.policy with
-            | fs2 -> (
-              try Program.check_cold fs2 ~ops ~in_flight:k
-              with Fs_types.Fs_error m -> [ "cold recovery check raised: " ^ m ])
-            | exception Fs_types.Fs_error _ ->
-              (* A torn superblock/root can leave the image unmountable;
-                 the cold contract forgives structural loss. *)
-              []
-          in
-          Phys_mem.retire (Kernel.mem kernel2);
-          problems
-        end
-      end
-      else begin
-        Boundary.restore_crash_image probe;
-        let recovered = ref None in
-        ignore
-          (Warm_reboot.perform ~mem:(World.mem w) ~disk:(World.disk w) ~layout:(World.layout w)
-             ~engine
-             ~reboot:(fun () ->
-               let kernel2 =
-                 Kernel.boot_warm ~engine ~costs:(World.costs w) (World.config w)
-                   ~mem:(Kernel.mem kernel) ~disk:(Kernel.disk kernel)
-               in
-               make_rio ~spec kernel2;
-               let fs2 = Kernel.mount kernel2 ~policy:spec.Explorer.policy in
-               recovered := Some fs2;
-               fs2)
-            : Warm_reboot.report);
-        let fs2 = match !recovered with Some f -> f | None -> assert false in
-        try Program.check fs2 ~ops ~in_flight:k
-        with Fs_types.Fs_error m -> [ "recovery check raised: " ^ m ]
-      end
-    in
-    {
-      boundaries = total;
-      labels;
-      op_starts;
-      crashed_during = Some k;
-      tripped;
-      problems;
-    }
-
-let run_attempt ?(obs = Trace.null) ~(spec : Explorer.spec) ~seed ~ops ~trip () =
-  if (not (Trace.enabled obs)) && World.templates_on () then begin
-    let e = single_template ~spec ~seed in
-    attempt_body ~spec e.sw e.sprobe e.spay ~ops ~trip
-  end
   else begin
-    (* Reference / traced path: build from scratch, run, throw away. *)
-    let w = build_world ~obs ~spec ~seed in
-    let probe = attach_probe ~obs w in
-    let pay = Program.setup (World.fs w) in
-    Fun.protect
-      ~finally:(fun () ->
-        Boundary.drop_capture probe;
-        World.dispose w)
-      (fun () -> attempt_body ~spec w probe pay ~ops ~trip)
+    let k = !cur in
+    let tripped = Boundary.tripped_label probe in
+    (* Cold recovery audits the sync-durability contract
+       ({!Program.check_cold}): data a completed [Sync] pushed out must
+       read back exact. *)
+    let check = if spec.Explorer.cold then Program.check_cold else Program.check in
+    let problems =
+      Trial.audit r ~cold:spec.Explorer.cold ~check:(fun fs -> check fs ~ops ~in_flight:k)
+    in
+    { boundaries = total; labels; op_starts; crashed_during = Some k; tripped; problems }
   end
 
 (* ---------------- one fuzz trial ---------------- *)
 
 type raw_violation = {
   r_ops : Gen.op list;
-  r_boundaries : int;
   r_ordinal : int;
   r_in_flight : int;
   r_problems : string list;
 }
-
-type outcome = Clean of int  (** boundaries enumerated *) | Bad of raw_violation
 
 (* Largest k with op_starts.(k) <= r: the op in flight at boundary r. *)
 let in_flight_of op_starts r =
@@ -296,7 +135,7 @@ let pick_boundary prng ~prefer labels =
   let ords = Array.of_list (List.rev (Hashtbl.find classes cls)) in
   ords.(Prng.int prng (Array.length ords))
 
-let fuzz_one ?(prefer = []) ?(with_cov = false) ~spec ~world_seed ~max_ops ~prng_seed () =
+let fuzz_one ~spec ~world_seed ~max_ops ~prefer ~with_cov ~prng_seed =
   let prng = Prng.create ~seed:prng_seed in
   let nops = 1 + Prng.int prng max_ops in
   (* Under the idle write-back policy the [Sync] barrier is meaningful
@@ -311,7 +150,7 @@ let fuzz_one ?(prefer = []) ?(with_cov = false) ~spec ~world_seed ~max_ops ~prng
   let counting = run_attempt ~spec ~seed:world_seed ~ops ~trip:(-1) () in
   let cov = if with_cov then Some (Cov.create ()) else None in
   Option.iter (fun c -> Cov.note_schedule c ~labels:counting.labels) cov;
-  if counting.boundaries = 0 then (Clean 0, cov)
+  if counting.boundaries = 0 then ((0, None), cov)
   else begin
     let r = pick_boundary prng ~prefer counting.labels in
     let a = run_attempt ~spec ~seed:world_seed ~ops ~trip:r () in
@@ -333,48 +172,58 @@ let fuzz_one ?(prefer = []) ?(with_cov = false) ~spec ~world_seed ~max_ops ~prng
           ~op:(Gen.kind (List.nth ops in_flight))
           ~ordinal:r outcome)
       cov;
-    if problems = [] then (Clean counting.boundaries, cov)
+    if problems = [] then ((counting.boundaries, None), cov)
     else
-      ( Bad
-          {
-            r_ops = ops;
-            r_boundaries = counting.boundaries;
-            r_ordinal = r;
-            r_in_flight = in_flight;
-            r_problems = problems;
-          },
+      ( ( counting.boundaries,
+          Some { r_ops = ops; r_ordinal = r; r_in_flight = in_flight; r_problems = problems } ),
         cov )
   end
 
-(* ---------------- the shrinker ---------------- *)
+(* ---------------- the shrinkers ---------------- *)
+
+(* Both shrinkers re-validate every candidate by running it, and share a
+   budget of candidate runs and the ordinal remap below. *)
+
+let shrink_budget = 400
+
+type budget = { mutable spent : int }
+
+let spend b = b.spent <- b.spent + 1
+let live b = b.spent < shrink_budget
+
+(* After an op is dropped, the in-flight op's boundaries move to the
+   window [lo, hi) of the re-counted candidate: try the old offset into
+   the window first, then the rest of it in order, and return the first
+   ordinal that still [fails], while the budget lasts. *)
+let remap b ~lo ~hi ~offset fails =
+  let prefer = lo + offset in
+  let range = List.init (hi - lo) (fun j -> lo + j) in
+  let ordered =
+    if prefer >= lo && prefer < hi then prefer :: List.filter (fun x -> x <> prefer) range
+    else range
+  in
+  List.find_opt (fun r -> live b && fails r) ordered
 
 (* Delta-debugging over two axes: drop ops the failure does not need, then
    walk the crash ordinal down. Everything after the in-flight op is dead
    weight by construction (the crash preempts it), so each step
-   re-truncates there first. Every candidate is re-validated by actually
-   running it; invalid sub-programs (a removed creat orphans an append)
-   just fail validation. Deterministic: same inputs, same minimum. *)
-
-let shrink_budget = 400
+   re-truncates there first. Invalid sub-programs (a removed creat orphans
+   an append) just fail validation. Deterministic: same inputs, same
+   minimum. *)
 
 let truncate_after ops k = List.filteri (fun i _ -> i <= k) ops
 let remove_at i ops = List.filteri (fun j _ -> j <> i) ops
 
 let shrink ~spec ~world_seed ~ops ~ordinal =
-  let budget = ref shrink_budget in
-  let attempts = ref 0 in
-  let spend () =
-    incr attempts;
-    decr budget
-  in
+  let b = { spent = 0 } in
   let count ops =
-    spend ();
+    spend b;
     match run_attempt ~spec ~seed:world_seed ~ops ~trip:(-1) () with
     | a -> Some a
     | exception Invalid_program -> None
   in
   let fails ops r =
-    spend ();
+    spend b;
     match run_attempt ~spec ~seed:world_seed ~ops ~trip:r () with
     | a -> a.crashed_during <> None && a.problems <> []
     | exception Invalid_program -> false
@@ -383,28 +232,19 @@ let shrink ~spec ~world_seed ~ops ~ordinal =
      the same ordinal still reproduces — no re-validation needed. *)
   let slice starts k = Array.sub starts 0 (k + 2) in
   (* One removal pass: try dropping each op before the in-flight one,
-     remapping the ordinal into the in-flight op's shifted boundary range
-     (same offset first, then the rest of the range). Restarts on every
-     success, so it ends at a local fixpoint. *)
+     remapping the ordinal into the in-flight op's shifted boundary range.
+     Restarts on every success, so it ends at a local fixpoint. *)
   let rec removal_pass ops starts r k =
     let offset = r - starts.(k) in
     let rec try_i i =
-      if i >= k || !budget <= 0 then (ops, starts, r, k)
+      if i >= k || not (live b) then (ops, starts, r, k)
       else begin
         let cand = remove_at i ops in
         let ck = k - 1 in
         match count cand with
         | None -> try_i (i + 1)
-        | Some c ->
-          let lo = c.op_starts.(ck) and hi = c.op_starts.(ck + 1) in
-          let prefer = lo + offset in
-          let range = List.init (hi - lo) (fun j -> lo + j) in
-          let ordered =
-            if prefer >= lo && prefer < hi then
-              prefer :: List.filter (fun x -> x <> prefer) range
-            else range
-          in
-          (match List.find_opt (fun r' -> !budget > 0 && fails cand r') ordered with
+        | Some c -> (
+          match remap b ~lo:c.op_starts.(ck) ~hi:c.op_starts.(ck + 1) ~offset (fails cand) with
           | Some r' -> removal_pass cand (slice c.op_starts ck) r' ck
           | None -> try_i (i + 1))
       end
@@ -415,7 +255,7 @@ let shrink ~spec ~world_seed ~ops ~ordinal =
      fixed program is fixed, so this is a plain linear scan). *)
   let scan_below ops r =
     let rec go r' =
-      if r' >= r || !budget <= 0 then None else if fails ops r' then Some r' else go (r' + 1)
+      if r' >= r || not (live b) then None else if fails ops r' then Some r' else go (r' + 1)
     in
     go 0
   in
@@ -428,11 +268,11 @@ let shrink ~spec ~world_seed ~ops ~ordinal =
     | None -> (ops, r, k)
   in
   match count ops with
-  | None -> (ops, ordinal, in_flight_of [| 0 |] 0, !attempts) (* unreachable: ops ran once *)
+  | None -> (ops, ordinal, in_flight_of [| 0 |] 0, b.spent) (* unreachable: ops ran once *)
   | Some c ->
     let k0 = in_flight_of c.op_starts ordinal in
     let ops, r, k = outer (truncate_after ops k0) (slice c.op_starts k0) ordinal k0 in
-    (ops, r, k, !attempts)
+    (ops, r, k, b.spent)
 
 (* ---------------- reports ---------------- *)
 
@@ -484,91 +324,81 @@ let shrink_and_describe ~recorder ~spec ~world_seed (t, v) =
     shrink_attempts;
   }
 
-(* With coverage on, trials run in fixed-size rounds: between rounds the
-   per-trial maps collected so far merge (in trial order) and the
-   still-unhit boundary classes become the next round's [prefer] set for
-   {!pick_boundary}. The round boundaries and the merge order are both
-   pure functions of the trial indices, so the feedback — and therefore
-   the whole campaign — stays byte-identical at any [domains]. *)
+(* ---------------- the campaign driver ---------------- *)
+
+(* Both fuzzers' campaigns: [trial ~prefer ~with_cov ~prng_seed] runs one
+   trial and returns its boundary count, its violation (if any) and its
+   coverage map. With coverage on, trials run in fixed-size rounds:
+   between rounds the per-trial maps collected so far merge (in trial
+   order) and the still-unhit boundary classes become the next round's
+   [prefer] set for {!pick_boundary}. The round boundaries and the merge
+   order are both pure functions of the trial indices, so the feedback —
+   and therefore the whole campaign — stays byte-identical at any
+   [domains]. Shrinking re-runs many candidate trials per violation, so
+   only the first [shrink_limit] violations (in trial order:
+   deterministic) get the treatment; the rest are counted. *)
 let coverage_round = 32
+
+let campaign (cfg : Run.config) ~(spec : Explorer.spec) ~shrink_limit ~trial ~shrink
+    ~shrink_attempts =
+  let report_done = Run.reporter cfg ~total:cfg.Run.trials in
+  let with_cov = cfg.Run.coverage in
+  let cov = if with_cov then Some (Cov.create ()) else None in
+  let round = if with_cov then coverage_round else max 1 cfg.Run.trials in
+  let rec rounds start acc =
+    if start >= cfg.Run.trials then List.concat (List.rev acc)
+    else begin
+      let stop = min cfg.Run.trials (start + round) in
+      let prefer = match cov with Some c -> Cov.unhit_classes c | None -> [] in
+      let res =
+        Pool.map_list ~domains:cfg.Run.domains
+          (fun t ->
+            let outcome, tcov =
+              trial ~prefer ~with_cov ~prng_seed:((cfg.Run.seed * 0x1000003) + t)
+            in
+            report_done ~label:spec.Explorer.label ~detail:(Printf.sprintf "trial %d" t);
+            (t, outcome, tcov))
+          (List.init (stop - start) (fun i -> start + i))
+      in
+      Option.iter
+        (fun c -> List.iter (fun (_, _, tcov) -> Option.iter (fun s -> Cov.merge ~into:c s) tcov) res)
+        cov;
+      rounds stop (List.map (fun (t, outcome, _) -> (t, outcome)) res :: acc)
+    end
+  in
+  let outcomes = rounds 0 [] in
+  let boundaries = List.fold_left (fun acc (_, (b, _)) -> acc + b) 0 outcomes in
+  let bad = List.filter_map (fun (t, (_, v)) -> Option.map (fun v -> (t, v)) v) outcomes in
+  let counterexamples =
+    Pool.map_list ~domains:cfg.Run.domains shrink (List.filteri (fun i _ -> i < shrink_limit) bad)
+  in
+  Option.iter
+    (fun c -> List.iter (fun cx -> Cov.add_shrink c (shrink_attempts cx)) counterexamples)
+    cov;
+  (boundaries, List.length bad, counterexamples, cov)
 
 let run ?(spec = Explorer.rio_prot) ?(max_ops = default_max_ops) ?(shrink_limit = 3)
     (cfg : Run.config) =
   let world_seed = cfg.Run.seed in
-  let report_done = Run.reporter cfg ~total:cfg.Run.trials in
-  let with_cov = cfg.Run.coverage in
-  let run_round ~prefer ts =
-    Pool.map_list ~domains:cfg.Run.domains
-      (fun t ->
-        let out, tcov =
-          fuzz_one ~prefer ~with_cov ~spec ~world_seed ~max_ops
-            ~prng_seed:((world_seed * 0x1000003) + t) ()
-        in
-        report_done ~label:spec.Explorer.label ~detail:(Printf.sprintf "trial %d" t);
-        (t, out, tcov))
-      ts
-  in
-  let cov = if with_cov then Some (Cov.create ()) else None in
-  let outcomes =
-    match cov with
-    | None ->
-      List.map (fun (t, o, _) -> (t, o)) (run_round ~prefer:[] (List.init cfg.Run.trials Fun.id))
-    | Some c ->
-      let acc = ref [] in
-      let rec rounds start =
-        if start < cfg.Run.trials then begin
-          let stop = min cfg.Run.trials (start + coverage_round) in
-          let res =
-            run_round ~prefer:(Cov.unhit_classes c)
-              (List.init (stop - start) (fun i -> start + i))
-          in
-          List.iter (fun (_, _, tcov) -> Option.iter (fun s -> Cov.merge ~into:c s) tcov) res;
-          acc := List.rev_append (List.map (fun (t, o, _) -> (t, o)) res) !acc;
-          rounds stop
-        end
-      in
-      rounds 0;
-      List.rev !acc
-  in
-  let boundaries =
-    List.fold_left
-      (fun acc (_, o) -> acc + match o with Clean b -> b | Bad v -> v.r_boundaries)
-      0 outcomes
-  in
-  let bad = List.filter_map (fun (t, o) -> match o with Bad v -> Some (t, v) | _ -> None) outcomes in
-  let to_shrink = List.filteri (fun i _ -> i < shrink_limit) bad in
-  (* Shrinking re-runs many candidate trials per violation, so only the
-     first [shrink_limit] violations (in trial order: deterministic) get
-     the treatment; the rest are counted. *)
   let recorder = Run.recorder cfg in
-  let counterexamples =
-    Pool.map_list ~domains:cfg.Run.domains
-      (shrink_and_describe ~recorder ~spec ~world_seed)
-      to_shrink
+  let boundaries, violations, counterexamples, coverage =
+    campaign cfg ~spec ~shrink_limit
+      ~trial:(fuzz_one ~spec ~world_seed ~max_ops)
+      ~shrink:(shrink_and_describe ~recorder ~spec ~world_seed)
+      ~shrink_attempts:(fun c -> c.shrink_attempts)
   in
-  Option.iter
-    (fun c -> List.iter (fun cx -> Cov.add_shrink c cx.shrink_attempts) counterexamples)
-    cov;
   {
     spec;
     seed = cfg.Run.seed;
     trials = cfg.Run.trials;
     max_ops;
     boundaries;
-    violations = List.length bad;
+    violations;
     counterexamples;
-    coverage = cov;
+    coverage;
   }
 
 (* ---------------- rendering ---------------- *)
-
-let spec_line (spec : Explorer.spec) =
-  Printf.sprintf "%s (protection %s, shadow %s, registry %s, backend %s%s)" spec.Explorer.label
-    (if spec.Explorer.protection then "on" else "off")
-    (if spec.Explorer.shadow then "on" else "off")
-    (if spec.Explorer.registry then "on" else "off")
-    (Rio_disk.Backend.to_string spec.Explorer.backend)
-    (if spec.Explorer.cold then ", cold recovery" else "")
 
 let render_counterexample buf c =
   Buffer.add_string buf
@@ -591,7 +421,7 @@ let render_counterexample buf c =
 
 let render r =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf ("crash-schedule fuzz: " ^ spec_line r.spec ^ "\n");
+  Buffer.add_string buf ("crash-schedule fuzz: " ^ Explorer.spec_line r.spec ^ "\n");
   Buffer.add_string buf
     (Printf.sprintf "  seed %d, %d trials of <= %d ops, %d boundaries enumerated\n" r.seed
        r.trials r.max_ops r.boundaries);
@@ -695,13 +525,10 @@ let render_matrix entries =
 
 (* ---------------- multi-task fuzzing ---------------- *)
 
-module Task = Rio_task.Task
-module Sched = Rio_task.Sched
-
-(* One multi-task attempt: the same build/run/crash/audit cycle as
-   [run_attempt], but the programs run as scheduled task fibers, every
-   boundary is a preemption point, and the audit is per task. Pure in
-   (spec, locking, seed, sched_seed, progs, trip). *)
+(* One multi-task attempt: the same trial cycle as [run_attempt], but the
+   programs run as scheduled task fibers, every boundary is a preemption
+   point, and the audit is per task. Pure in (spec, locking, seed,
+   sched_seed, progs, trip). *)
 
 type tattempt = {
   t_boundaries : int;
@@ -717,41 +544,31 @@ type tattempt = {
   t_problems : string list;
 }
 
-let tasks_template ~(spec : Explorer.spec) ~seed ~tasks =
-  let c = Domain.DLS.get caches in
-  let key =
-    Printf.sprintf "%s@%s/%d/%d" spec.Explorer.label
-      (Rio_disk.Backend.to_string spec.Explorer.backend)
-      seed tasks
-  in
-  let e =
-    match Hashtbl.find_opt c.multis key with
-    | Some e -> e
-    | None ->
-      evict_if_full c.multis (fun e ->
-          Boundary.drop_capture e.tprobe;
-          World.dispose e.tw);
-      let w = build_world ~obs:Trace.null ~spec ~seed in
-      let probe = attach_probe ~obs:Trace.null w in
-      let pay = Program.setup_tasks (World.fs w) ~tasks in
-      let vsts = Array.map Vista.save pay.Program.stores in
-      World.on_restore w (fun () ->
-          Boundary.drop_capture probe;
-          Array.iteri (fun i s -> Vista.restore s vsts.(i)) pay.Program.stores);
-      World.freeze w;
-      let e = { tw = w; tprobe = probe; tpay = pay } in
-      Hashtbl.replace c.multis key e;
-      e
-  in
-  ignore (World.restore e.tw : int);
-  e
+let tasks_kind : Program.tworld Trial.kind = Trial.kind "fuzz-tasks"
 
-let attempt_tasks_body ~(spec : Explorer.spec) ~locking w probe (tw : Program.tworld)
-    ~sched_seed ~(progs : Gen.op list array) ~trip =
-  let engine = World.engine w in
-  let kernel = World.kernel w in
-  let fs = World.fs w in
+let setup_tasks ~tasks w =
+  let pay = Program.setup_tasks (World.fs w) ~tasks in
+  let vsts = Array.map Vista.save pay.Program.stores in
+  World.on_restore w (fun () ->
+      Array.iteri (fun i s -> Vista.restore s vsts.(i)) pay.Program.stores);
+  pay
+
+let run_attempt_tasks ?obs ~(spec : Explorer.spec) ~locking ~seed ~sched_seed
+    ~(progs : Gen.op list array) ~trip () =
+  (* Pre-validate against the model: sub-programs the shrinker builds can
+     be self-inconsistent, and catching that here costs no world rental. *)
+  Array.iteri
+    (fun i ops ->
+      match Gen.Model.after ~root:(Program.task_root i) ops with
+      | (_ : Gen.Model.t) -> ()
+      | exception Not_found -> raise Invalid_program)
+    progs;
   let nt = Array.length progs in
+  Trial.run ?obs ~spec ~seed ~kind:tasks_kind ~key:(string_of_int nt)
+    ~setup:(setup_tasks ~tasks:nt)
+  @@ fun r ->
+  let probe = r.Trial.probe and tw = r.Trial.payload in
+  let fs = World.fs r.Trial.world in
   Array.iter (fun s -> Vista.set_observer s (Boundary.vista_event probe)) tw.Program.stores;
   let oparr = Array.map Array.of_list progs in
   let starts = Array.map (fun ops -> Array.make (Array.length ops) (-1)) oparr in
@@ -776,18 +593,17 @@ let attempt_tasks_body ~(spec : Explorer.spec) ~locking w probe (tw : Program.tw
             cur.(i) <- -1)
           oparr.(i))
   done;
-  Boundary.arm probe ~trip_at:trip;
-  let crashed = ref false in
   let raised = ref None in
-  (try Sched.run sched with
-  | Boundary.Crash_here -> crashed := true
-  | Fs_types.Fs_error m -> (
-    match Sched.crashed sched with
-    | Some task ->
-      let i = Task.id task in
-      raised := Some (i, cur.(i), m)
-    | None -> raise (Fs_types.Fs_error m)));
-  Boundary.disarm probe;
+  let crashed =
+    Trial.armed r ~trip (fun () ->
+        try Sched.run sched
+        with Fs_types.Fs_error m -> (
+          match Sched.crashed sched with
+          | Some task ->
+            let i = Task.id task in
+            raised := Some (i, cur.(i), m)
+          | None -> raise (Fs_types.Fs_error m)))
+  in
   let total = Boundary.emitted probe in
   let labels = Boundary.labels probe in
   let t_bounds =
@@ -808,7 +624,7 @@ let attempt_tasks_body ~(spec : Explorer.spec) ~locking w probe (tw : Program.tw
   in
   let t_progress = Array.init nt progress_of in
   let t_crasher =
-    if !crashed then
+    if crashed then
       match Sched.crashed sched with
       | Some task ->
         let i = Task.id task in
@@ -828,7 +644,7 @@ let attempt_tasks_body ~(spec : Explorer.spec) ~locking w probe (tw : Program.tw
       t_problems = [];
     }
   in
-  if not !crashed then begin
+  if not crashed then begin
     match !raised with
     | Some (i, k, m) ->
       (* No crash was injected: the interleaving alone broke an op. *)
@@ -848,72 +664,25 @@ let attempt_tasks_body ~(spec : Explorer.spec) ~locking w probe (tw : Program.tw
         { base with t_problems = problems }
       end
   end
-  else begin
-    assert (Boundary.has_crash_image probe);
-    Fs.crash fs;
-    Boundary.restore_crash_image probe;
-    let recovered = ref None in
-    ignore
-      (Warm_reboot.perform ~mem:(Kernel.mem kernel) ~disk:(Kernel.disk kernel)
-         ~layout:(Kernel.layout kernel) ~engine
-         ~reboot:(fun () ->
-           let kernel2 =
-             Kernel.boot_warm ~engine ~costs:(World.costs w) (World.config w)
-               ~mem:(Kernel.mem kernel) ~disk:(Kernel.disk kernel)
-           in
-           make_rio ~spec kernel2;
-           let fs2 = Kernel.mount kernel2 ~policy:spec.Explorer.policy in
-           recovered := Some fs2;
-           fs2)
-        : Warm_reboot.report);
-    let fs2 = match !recovered with Some f -> f | None -> assert false in
+  else
+    (* Multi-task audits are warm, whatever the spec says. *)
     let problems =
-      try Program.check_tasks fs2 ~progs ~progress:t_progress
-      with Fs_types.Fs_error m -> [ "recovery check raised: " ^ m ]
+      Trial.audit r ~cold:false ~check:(fun fs2 ->
+          Program.check_tasks fs2 ~progs ~progress:t_progress)
     in
     { base with t_problems = problems }
-  end
-
-let run_attempt_tasks ?(obs = Trace.null) ~(spec : Explorer.spec) ~locking ~seed ~sched_seed
-    ~(progs : Gen.op list array) ~trip () =
-  (* Pre-validate against the model: sub-programs the shrinker builds can
-     be self-inconsistent, and catching that here costs no world rental. *)
-  Array.iteri
-    (fun i ops ->
-      match Gen.Model.after ~root:(Program.task_root i) ops with
-      | (_ : Gen.Model.t) -> ()
-      | exception Not_found -> raise Invalid_program)
-    progs;
-  if (not (Trace.enabled obs)) && World.templates_on () then begin
-    let e = tasks_template ~spec ~seed ~tasks:(Array.length progs) in
-    attempt_tasks_body ~spec ~locking e.tw e.tprobe e.tpay ~sched_seed ~progs ~trip
-  end
-  else begin
-    let w = build_world ~obs ~spec ~seed in
-    let probe = attach_probe ~obs w in
-    let pay = Program.setup_tasks (World.fs w) ~tasks:(Array.length progs) in
-    Fun.protect
-      ~finally:(fun () ->
-        Boundary.drop_capture probe;
-        World.dispose w)
-      (fun () -> attempt_tasks_body ~spec ~locking w probe pay ~sched_seed ~progs ~trip)
-  end
 
 (* ---------------- one multi-task trial ---------------- *)
 
 type traw = {
   tb_progs : Gen.op list array;
   tb_sched_seed : int;
-  tb_boundaries : int;
   tb_ordinal : int option;  (** [None]: the interleaving alone failed. *)
   tb_crasher : (int * int) option;
   tb_problems : string list;
 }
 
-type toutcome = TClean of int | TBad of traw
-
-let fuzz_one_tasks ?(prefer = []) ?(with_cov = false) ~spec ~locking ~tasks ~world_seed ~max_ops
-    ~prng_seed () =
+let fuzz_one_tasks ~spec ~locking ~tasks ~world_seed ~max_ops ~prefer ~with_cov ~prng_seed =
   let prng = Prng.create ~seed:prng_seed in
   let progs =
     Array.of_list
@@ -926,17 +695,17 @@ let fuzz_one_tasks ?(prefer = []) ?(with_cov = false) ~spec ~locking ~tasks ~wor
   let cov = if with_cov then Some (Cov.create ()) else None in
   Option.iter (fun c -> Cov.note_schedule c ~labels:counting.t_labels) cov;
   if counting.t_problems <> [] then
-    ( TBad
-        {
-          tb_progs = progs;
-          tb_sched_seed = sched_seed;
-          tb_boundaries = counting.t_boundaries;
-          tb_ordinal = None;
-          tb_crasher = None;
-          tb_problems = counting.t_problems;
-        },
+    ( ( counting.t_boundaries,
+        Some
+          {
+            tb_progs = progs;
+            tb_sched_seed = sched_seed;
+            tb_ordinal = None;
+            tb_crasher = None;
+            tb_problems = counting.t_problems;
+          } ),
       cov )
-  else if counting.t_boundaries = 0 then (TClean 0, cov)
+  else if counting.t_boundaries = 0 then ((0, None), cov)
   else begin
     let r = pick_boundary prng ~prefer counting.t_labels in
     let a = run_attempt_tasks ~spec ~locking ~seed:world_seed ~sched_seed ~progs ~trip:r () in
@@ -969,17 +738,17 @@ let fuzz_one_tasks ?(prefer = []) ?(with_cov = false) ~spec ~locking ~tasks ~wor
             a.t_progress
         | None -> ())
       cov;
-    if problems = [] then (TClean counting.t_boundaries, cov)
+    if problems = [] then ((counting.t_boundaries, None), cov)
     else
-      ( TBad
-          {
-            tb_progs = progs;
-            tb_sched_seed = sched_seed;
-            tb_boundaries = counting.t_boundaries;
-            tb_ordinal = Some r;
-            tb_crasher = a.t_crasher;
-            tb_problems = problems;
-          },
+      ( ( counting.t_boundaries,
+          Some
+            {
+              tb_progs = progs;
+              tb_sched_seed = sched_seed;
+              tb_ordinal = Some r;
+              tb_crasher = a.t_crasher;
+              tb_problems = problems;
+            } ),
         cov )
   end
 
@@ -1000,20 +769,15 @@ let total_ops progs = Array.fold_left (fun a ops -> a + List.length ops) 0 progs
 let nonempty_tasks progs = Array.fold_left (fun a ops -> a + if ops = [] then 0 else 1) 0 progs
 
 let shrink_tasks ~spec ~locking ~world_seed ~sched_seed ~progs ~ordinal ~crasher =
-  let budget = ref shrink_budget in
-  let attempts = ref 0 in
-  let spend () =
-    incr attempts;
-    decr budget
-  in
+  let b = { spent = 0 } in
   let count progs =
-    spend ();
+    spend b;
     match run_attempt_tasks ~spec ~locking ~seed:world_seed ~sched_seed ~progs ~trip:(-1) () with
     | a -> Some a
     | exception Invalid_program -> None
   in
   let fails_at progs r =
-    spend ();
+    spend b;
     match run_attempt_tasks ~spec ~locking ~seed:world_seed ~sched_seed ~progs ~trip:r () with
     | a -> (a.t_crasher <> None || a.t_raised <> None) && a.t_problems <> []
     | exception Invalid_program -> false
@@ -1027,10 +791,10 @@ let shrink_tasks ~spec ~locking ~world_seed ~sched_seed ~progs ~ordinal ~crasher
     (* No-crash flavor: the predicate is one counting run. *)
     let cur = ref progs in
     let changed = ref true in
-    while !changed && !budget > 0 do
+    while !changed && live b do
       changed := false;
       for i = 0 to nt - 1 do
-        if !cur.(i) <> [] && !budget > 0 then begin
+        if !cur.(i) <> [] && live b then begin
           let cand = Array.copy !cur in
           cand.(i) <- [];
           if fails_nocrash cand then begin
@@ -1040,7 +804,7 @@ let shrink_tasks ~spec ~locking ~world_seed ~sched_seed ~progs ~ordinal ~crasher
         end
       done;
       let rec drop_at i j =
-        if !budget > 0 && j < List.length !cur.(i) then begin
+        if live b && j < List.length !cur.(i) then begin
           let cand = Array.copy !cur in
           cand.(i) <- remove_at j !cur.(i);
           if fails_nocrash cand then begin
@@ -1055,10 +819,10 @@ let shrink_tasks ~spec ~locking ~world_seed ~sched_seed ~progs ~ordinal ~crasher
         drop_at i 0
       done
     done;
-    (!cur, None, !attempts)
+    (!cur, None, b.spent)
   | Some r0, None ->
     (* Crashed but unattributed (should not happen): nothing safe to do. *)
-    (progs, Some r0, !attempts)
+    (progs, Some r0, b.spent)
   | Some r0, Some (c, k0) ->
     let cur = ref progs and r = ref r0 and k = ref k0 in
     let off = ref 0 in
@@ -1070,7 +834,7 @@ let shrink_tasks ~spec ~locking ~world_seed ~sched_seed ~progs ~ordinal ~crasher
     (* Re-count a candidate and look for a failing ordinal inside the
        crasher op's new boundary window, preferring the same offset. *)
     let try_remap cand ~k:k' =
-      if !budget <= 0 then None
+      if not (live b) then None
       else
         match count cand with
         | None -> None
@@ -1079,18 +843,7 @@ let shrink_tasks ~spec ~locking ~world_seed ~sched_seed ~progs ~ordinal ~crasher
           else begin
             let lo, hi = a.t_bounds.(c).(k') in
             if lo < 0 || hi <= lo then None
-            else begin
-              let prefer = lo + !off in
-              let range = List.init (hi - lo) (fun j -> lo + j) in
-              let ordered =
-                if prefer >= lo && prefer < hi then
-                  prefer :: List.filter (fun x -> x <> prefer) range
-                else range
-              in
-              match List.find_opt (fun r' -> !budget > 0 && fails_at cand r') ordered with
-              | Some r' -> Some (r', lo)
-              | None -> None
-            end
+            else Option.map (fun r' -> (r', lo)) (remap b ~lo ~hi ~offset:!off (fails_at cand))
           end
     in
     let adopt cand k' (r', lo) =
@@ -1101,7 +854,7 @@ let shrink_tasks ~spec ~locking ~world_seed ~sched_seed ~progs ~ordinal ~crasher
     in
     (* Initial truncation: drop every op no task had started at the crash
        (one trip run tells us where each task stood). *)
-    (spend ();
+    (spend b;
      match
        run_attempt_tasks ~spec ~locking ~seed:world_seed ~sched_seed ~progs:!cur ~trip:!r ()
      with
@@ -1123,10 +876,10 @@ let shrink_tasks ~spec ~locking ~world_seed ~sched_seed ~progs ~ordinal ~crasher
          | None -> ())
      | exception Invalid_program -> ());
     let changed = ref true in
-    while !changed && !budget > 0 do
+    while !changed && live b do
       changed := false;
       for i = 0 to nt - 1 do
-        if i <> c && !cur.(i) <> [] && !budget > 0 then begin
+        if i <> c && !cur.(i) <> [] && live b then begin
           let cand = Array.copy !cur in
           cand.(i) <- [];
           match try_remap cand ~k:!k with
@@ -1137,7 +890,7 @@ let shrink_tasks ~spec ~locking ~world_seed ~sched_seed ~progs ~ordinal ~crasher
         end
       done;
       let rec drop_at i j =
-        if !budget > 0 && j < List.length !cur.(i) then begin
+        if live b && j < List.length !cur.(i) then begin
           if i = c && j = !k then drop_at i (j + 1)
           else begin
             let cand = Array.copy !cur in
@@ -1158,11 +911,11 @@ let shrink_tasks ~spec ~locking ~world_seed ~sched_seed ~progs ~ordinal ~crasher
     done;
     (* Finally walk the ordinal down within the fixed program. *)
     let rec scan r' =
-      if r' < !r && !budget > 0 then
+      if r' < !r && live b then
         if fails_at !cur r' then r := r' else scan (r' + 1)
     in
     scan 0;
-    (!cur, Some !r, !attempts)
+    (!cur, Some !r, b.spent)
 
 (* ---------------- multi-task reports ---------------- *)
 
@@ -1223,56 +976,12 @@ let tshrink_and_describe ~spec ~locking ~world_seed (t, v) =
 let run_tasks ?(spec = Explorer.rio_prot) ?(locking = true) ?(max_ops = default_max_ops)
     ?(shrink_limit = 3) ~tasks (cfg : Run.config) =
   let world_seed = cfg.Run.seed in
-  let report_done = Run.reporter cfg ~total:cfg.Run.trials in
-  let with_cov = cfg.Run.coverage in
-  let run_round ~prefer ts =
-    Pool.map_list ~domains:cfg.Run.domains
-      (fun t ->
-        let out, tcov =
-          fuzz_one_tasks ~prefer ~with_cov ~spec ~locking ~tasks ~world_seed ~max_ops
-            ~prng_seed:((world_seed * 0x1000003) + t) ()
-        in
-        report_done ~label:spec.Explorer.label ~detail:(Printf.sprintf "trial %d" t);
-        (t, out, tcov))
-      ts
+  let boundaries, violations, counterexamples, coverage =
+    campaign cfg ~spec ~shrink_limit
+      ~trial:(fuzz_one_tasks ~spec ~locking ~tasks ~world_seed ~max_ops)
+      ~shrink:(tshrink_and_describe ~spec ~locking ~world_seed)
+      ~shrink_attempts:(fun c -> c.tc_shrink_attempts)
   in
-  let cov = if with_cov then Some (Cov.create ()) else None in
-  let outcomes =
-    match cov with
-    | None ->
-      List.map (fun (t, o, _) -> (t, o)) (run_round ~prefer:[] (List.init cfg.Run.trials Fun.id))
-    | Some c ->
-      let acc = ref [] in
-      let rec rounds start =
-        if start < cfg.Run.trials then begin
-          let stop = min cfg.Run.trials (start + coverage_round) in
-          let res =
-            run_round ~prefer:(Cov.unhit_classes c) (List.init (stop - start) (fun i -> start + i))
-          in
-          List.iter (fun (_, _, tcov) -> Option.iter (fun s -> Cov.merge ~into:c s) tcov) res;
-          acc := List.rev_append (List.map (fun (t, o, _) -> (t, o)) res) !acc;
-          rounds stop
-        end
-      in
-      rounds 0;
-      List.rev !acc
-  in
-  let boundaries =
-    List.fold_left
-      (fun acc (_, o) -> acc + match o with TClean b -> b | TBad v -> v.tb_boundaries)
-      0 outcomes
-  in
-  let bad =
-    List.filter_map (fun (t, o) -> match o with TBad v -> Some (t, v) | _ -> None) outcomes
-  in
-  let to_shrink = List.filteri (fun i _ -> i < shrink_limit) bad in
-  let counterexamples =
-    Pool.map_list ~domains:cfg.Run.domains (tshrink_and_describe ~spec ~locking ~world_seed)
-      to_shrink
-  in
-  Option.iter
-    (fun c -> List.iter (fun cx -> Cov.add_shrink c cx.tc_shrink_attempts) counterexamples)
-    cov;
   {
     tr_spec = spec;
     tr_locking = locking;
@@ -1281,9 +990,9 @@ let run_tasks ?(spec = Explorer.rio_prot) ?(locking = true) ?(max_ops = default_
     tr_trials = cfg.Run.trials;
     tr_max_ops = max_ops;
     tr_boundaries = boundaries;
-    tr_violations = List.length bad;
+    tr_violations = violations;
     tr_counterexamples = counterexamples;
-    tr_coverage = cov;
+    tr_coverage = coverage;
   }
 
 let render_tcounterexample buf c =
@@ -1318,7 +1027,7 @@ let render_tcounterexample buf c =
 let render_tasks r =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
-    (Printf.sprintf "interleaving fuzz: %s, %d tasks, locking %s\n" (spec_line r.tr_spec)
+    (Printf.sprintf "interleaving fuzz: %s, %d tasks, locking %s\n" (Explorer.spec_line r.tr_spec)
        r.tr_tasks
        (if r.tr_locking then "on" else "off"));
   Buffer.add_string buf

@@ -48,9 +48,10 @@ val run_attempt :
   trip:int ->
   unit ->
   attempt
-(** Build a fresh world, run [ops], crash at boundary [trip] ([-1] =
-    count only), recover and audit. Raises {!Invalid_program} if [ops] is
-    not executable in order. *)
+(** One {!Rio_check.Trial} cycle: rent the world, run [ops], crash at
+    boundary [trip] ([-1] = count only), recover (warm, or cold for a
+    [cold] spec) and audit. Raises {!Invalid_program} if [ops] is not
+    executable in order. *)
 
 val shrink :
   spec:Rio_check.Explorer.spec ->
@@ -176,10 +177,11 @@ val run_attempt_tasks :
   trip:int ->
   unit ->
   tattempt
-(** Build a fresh world, run one program per task under the seeded
-    scheduler, crash at boundary [trip] ([-1] = count only, with a
-    final-state audit), recover and audit per task. Raises
-    {!Invalid_program} when some program is not self-contained. *)
+(** One {!Rio_check.Trial} cycle: rent the world, run one program per
+    task under the seeded scheduler, crash at boundary [trip] ([-1] =
+    count only, with a final-state audit), warm-recover and audit per
+    task. Raises {!Invalid_program} when some program is not
+    self-contained. *)
 
 val total_ops : Rio_workload.Script.Gen.op list array -> int
 val nonempty_tasks : Rio_workload.Script.Gen.op list array -> int

@@ -5,7 +5,7 @@ module Kernel = Rio_kernel.Kernel
 module Fs = Rio_fs.Fs
 module Fsck = Rio_fs.Fsck
 module Rio_cache = Rio_core.Rio_cache
-module Warm_reboot = Rio_core.Warm_reboot
+module World = Rio_world.World
 module Cp_rm = Rio_workload.Cp_rm
 module Memtest = Rio_workload.Memtest
 module Machine = Rio_cpu.Machine
@@ -13,10 +13,19 @@ module Table = Rio_util.Table
 module Units = Rio_util.Units
 module Pool = Rio_parallel.Pool
 
-(* Each ablation point boots its own engine and kernel from its seed, so
-   a sweep's points are independent tasks for the domain pool; [domains]
-   defaults to 1 (today's serial path) and merged results keep the sweep's
+(* Each ablation point builds its own world from its seed, so a sweep's
+   points are independent tasks for the domain pool; [domains] defaults to
+   1 (today's serial path) and merged results keep the sweep's
    presentation order, making parallel output byte-identical. *)
+
+(* The paper's measurement machine: 128 MB of memory over a 320 MB disk. *)
+let paper_machine ~seed =
+  {
+    Kernel.default_config with
+    Kernel.layout_config = Layout.paper_config;
+    disk_sectors = 640 * 1024;
+    seed;
+  }
 
 (* ---------------- protection overhead ---------------- *)
 
@@ -29,28 +38,9 @@ type protection_result = {
   shadow_updates : int;
 }
 
-let rio_system ~costs ~protection ~seed =
-  let engine = Engine.create () in
-  let kcfg =
-    {
-      Kernel.default_config with
-      Kernel.layout_config = Layout.paper_config;
-      disk_sectors = 640 * 1024;
-      seed;
-    }
-  in
-  let kernel = Kernel.boot ~engine ~costs kcfg in
-  Kernel.format kernel;
-  let rio =
-    Rio_cache.create ~mem:(Kernel.mem kernel) ~layout:(Kernel.layout kernel)
-      ~mmu:(Kernel.mmu kernel) ~engine ~costs ~hooks:(Kernel.hooks kernel)
-      ~pool_alloc:(Kernel.pool_alloc kernel) ~protection ~dev:1 ()
-  in
-  let fs = Kernel.mount kernel ~policy:Fs.Rio_policy in
-  (engine, fs, rio)
-
 let cp_rm_time ~protection ~scale ~seed =
-  let engine, fs, rio = rio_system ~costs:Costs.default ~protection ~seed in
+  let world = World.create ~config:(paper_machine ~seed) ~protection ~seed () in
+  let engine = World.engine world and fs = World.fs world and rio = World.rio world in
   let w = Cp_rm.create ~total_bytes:(int_of_float (scale *. 40e6)) () in
   Cp_rm.setup w fs;
   let t0 = Engine.now engine in
@@ -93,11 +83,7 @@ type code_patching_result = {
 let code_patching ~seed () =
   (* Measure the dynamic store density of the kernel corpus by running
      activity bursts on a healthy kernel. *)
-  let engine = Engine.create () in
-  let kernel = Kernel.boot ~engine ~costs:Costs.default (Kernel.config_with_seed seed) in
-  Kernel.format kernel;
-  let fs = Kernel.mount kernel ~policy:Fs.Rio_policy in
-  ignore fs;
+  let kernel = World.kernel (World.create ~rio:false ~seed ()) in
   for _ = 1 to 400 do
     Kernel.run_activity kernel
   done;
@@ -138,16 +124,9 @@ type registry_result = {
 }
 
 let registry_cost ?(steps = 400) ~seed () =
-  let costs = Costs.default in
-  let engine = Engine.create () in
-  let kernel = Kernel.boot ~engine ~costs (Kernel.config_with_seed seed) in
-  Kernel.format kernel;
-  let rio =
-    Rio_cache.create ~mem:(Kernel.mem kernel) ~layout:(Kernel.layout kernel)
-      ~mmu:(Kernel.mmu kernel) ~engine ~costs ~hooks:(Kernel.hooks kernel)
-      ~pool_alloc:(Kernel.pool_alloc kernel) ~protection:true ~dev:1 ()
-  in
-  let fs = Kernel.mount kernel ~policy:Fs.Rio_policy in
+  let w = World.create ~seed () in
+  let engine = World.engine w and fs = World.fs w and rio = World.rio w in
+  let costs = World.costs w in
   let mt = Memtest.create { Memtest.default_config with Memtest.seed } in
   let t0 = Engine.now engine in
   for _ = 1 to steps do
@@ -190,16 +169,13 @@ type idle_writeback_result = {
    already and evicts clean pages. *)
 let idle_writeback ?(domains = 1) ~seed () =
   let run policy =
-    let costs = { Costs.default with Costs.update_interval = Units.sec 1 } in
-    let engine = Engine.create () in
-    let kcfg = { (Kernel.config_with_seed seed) with Kernel.disk_sectors = 160 * 1024 } in
-    let kernel = Kernel.boot ~engine ~costs kcfg in
-    Kernel.format kernel;
-    ignore
-      (Rio_cache.create ~mem:(Kernel.mem kernel) ~layout:(Kernel.layout kernel)
-         ~mmu:(Kernel.mmu kernel) ~engine ~costs ~hooks:(Kernel.hooks kernel)
-         ~pool_alloc:(Kernel.pool_alloc kernel) ~protection:true ~dev:1 ());
-    let fs = Kernel.mount kernel ~policy in
+    let w =
+      World.create
+        ~config:{ (Kernel.config_with_seed seed) with Kernel.disk_sectors = 160 * 1024 }
+        ~costs:{ Costs.default with Costs.update_interval = Units.sec 1 }
+        ~policy ~seed ()
+    in
+    let engine = World.engine w and fs = World.fs w in
     let t0 = Engine.now engine in
     let chunk = Rio_util.Pattern.fill ~seed ~len:(256 * 1024) in
     for i = 0 to 89 do
@@ -246,14 +222,8 @@ type debit_credit_result = {
    8 KB writes. Reproduce the comparison on Vista transactions. *)
 let debit_credit ?(transactions = 600) ?(domains = 1) ~seed () =
   let run protection =
-    let engine = Engine.create () in
-    let kernel = Kernel.boot ~engine ~costs:Costs.default (Kernel.config_with_seed seed) in
-    Kernel.format kernel;
-    ignore
-      (Rio_cache.create ~mem:(Kernel.mem kernel) ~layout:(Kernel.layout kernel)
-         ~mmu:(Kernel.mmu kernel) ~engine ~costs:Costs.default ~hooks:(Kernel.hooks kernel)
-         ~pool_alloc:(Kernel.pool_alloc kernel) ~protection ~dev:1 ());
-    let fs = Kernel.mount kernel ~policy:Fs.Rio_policy in
+    let w = World.create ~protection ~seed () in
+    let engine = World.engine w and fs = World.fs w in
     let store = Rio_txn.Vista.create fs ~path:"/tpc" ~size:(64 * 1024) in
     let prng = Rio_util.Prng.create ~seed in
     let t0 = Engine.now engine in
@@ -297,15 +267,8 @@ type phoenix_point = {
    editing-session workload for both. *)
 let phoenix_comparison ?(steps = 283) ?(domains = 1) ~seed () =
   let session interval_opt =
-    let costs = Costs.default in
-    let engine = Engine.create () in
-    let kernel = Kernel.boot ~engine ~costs (Kernel.config_with_seed seed) in
-    Kernel.format kernel;
-    ignore
-      (Rio_cache.create ~mem:(Kernel.mem kernel) ~layout:(Kernel.layout kernel)
-         ~mmu:(Kernel.mmu kernel) ~engine ~costs ~hooks:(Kernel.hooks kernel)
-         ~pool_alloc:(Kernel.pool_alloc kernel) ~protection:true ~dev:1 ());
-    let fs = Kernel.mount kernel ~policy:Fs.Rio_policy in
+    let w = World.create ~seed () in
+    let engine = World.engine w and fs = World.fs w and costs = World.costs w in
     let config = { Memtest.default_config with Memtest.seed } in
     let mt = Memtest.create config in
     let checkpoints = ref 0 in
@@ -390,23 +353,8 @@ type disk_sensitivity = {
 let modern_disk_sensitivity ?(domains = 1) ~seed () =
   let cell (costs, label) =
     let run policy rio =
-      let engine = Engine.create () in
-      let kcfg =
-        {
-          Kernel.default_config with
-          Kernel.layout_config = Layout.paper_config;
-          disk_sectors = 640 * 1024;
-          seed;
-        }
-      in
-      let kernel = Kernel.boot ~engine ~costs kcfg in
-      Kernel.format kernel;
-      if rio then
-        ignore
-          (Rio_cache.create ~mem:(Kernel.mem kernel) ~layout:(Kernel.layout kernel)
-             ~mmu:(Kernel.mmu kernel) ~engine ~costs ~hooks:(Kernel.hooks kernel)
-             ~pool_alloc:(Kernel.pool_alloc kernel) ~protection:true ~dev:1 ());
-      let fs = Kernel.mount kernel ~policy in
+      let world = World.create ~config:(paper_machine ~seed) ~costs ~rio ~policy ~seed () in
+      let engine = World.engine world and fs = World.fs world in
       let w = Cp_rm.create ~total_bytes:(int_of_float (0.15 *. 40e6)) () in
       Cp_rm.setup w fs;
       Fs.sync fs;
@@ -456,11 +404,12 @@ type delay_point = {
 }
 
 let delayed_point ~interval ~steps ~seed =
-  let costs = { Costs.default with Costs.update_interval = interval } in
-  let engine = Engine.create () in
-  let kernel = Kernel.boot ~engine ~costs (Kernel.config_with_seed seed) in
-  Kernel.format kernel;
-  let fs = Kernel.mount kernel ~policy:Fs.Ufs_delayed in
+  let w =
+    World.create
+      ~costs:{ Costs.default with Costs.update_interval = interval }
+      ~rio:false ~policy:Fs.Ufs_delayed ~seed ()
+  in
+  let engine = World.engine w and fs = World.fs w in
   let mt = Memtest.create { Memtest.default_config with Memtest.seed } in
   let t0 = Engine.now engine in
   for _ = 1 to steps do
@@ -472,25 +421,14 @@ let delayed_point ~interval ~steps ~seed =
   let run_s = Units.sec_of_usec (Engine.now engine - t0) in
   (* Crash, recover from disk alone, and count the damage. *)
   Fs.crash fs;
-  ignore (Fsck.run ~disk:(Kernel.disk kernel));
-  let kernel2 =
-    Kernel.boot_on_disk ~engine ~costs (Kernel.config_with_seed seed)
-      ~disk:(Kernel.disk kernel)
-  in
-  let fs2 = Kernel.mount kernel2 ~policy:Fs.Ufs_delayed in
+  ignore (Fsck.run ~disk:(World.disk w));
+  let fs2 = World.cold_reboot w in
   let lost_files, lost_bytes = Memtest.loss_against_fs mt fs2 in
   { delay = Some interval; label = ""; run_s; lost_bytes; lost_files }
 
 let rio_point ~steps ~seed =
-  let costs = Costs.default in
-  let engine = Engine.create () in
-  let kernel = Kernel.boot ~engine ~costs (Kernel.config_with_seed seed) in
-  Kernel.format kernel;
-  ignore
-    (Rio_cache.create ~mem:(Kernel.mem kernel) ~layout:(Kernel.layout kernel)
-       ~mmu:(Kernel.mmu kernel) ~engine ~costs ~hooks:(Kernel.hooks kernel)
-       ~pool_alloc:(Kernel.pool_alloc kernel) ~protection:true ~dev:1 ());
-  let fs = Kernel.mount kernel ~policy:Fs.Rio_policy in
+  let w = World.create ~seed () in
+  let engine = World.engine w and fs = World.fs w in
   let mt = Memtest.create { Memtest.default_config with Memtest.seed } in
   let t0 = Engine.now engine in
   for _ = 1 to steps do
@@ -499,25 +437,8 @@ let rio_point ~steps ~seed =
   done;
   let run_s = Units.sec_of_usec (Engine.now engine - t0) in
   (* Crash and warm-reboot: memory carries everything over. *)
-  (match Kernel.fs kernel with Some f -> Fs.crash f | None -> ());
-  let fs_ref = ref None in
-  let _report =
-    Warm_reboot.perform ~mem:(Kernel.mem kernel) ~disk:(Kernel.disk kernel)
-      ~layout:(Kernel.layout kernel) ~engine
-      ~reboot:(fun () ->
-        let kernel2 =
-          Kernel.boot_warm ~engine ~costs (Kernel.config_with_seed seed)
-            ~mem:(Kernel.mem kernel) ~disk:(Kernel.disk kernel)
-        in
-        ignore
-          (Rio_cache.create ~mem:(Kernel.mem kernel2) ~layout:(Kernel.layout kernel2)
-             ~mmu:(Kernel.mmu kernel2) ~engine ~costs ~hooks:(Kernel.hooks kernel2)
-             ~pool_alloc:(Kernel.pool_alloc kernel2) ~protection:true ~dev:1 ());
-        let fs2 = Kernel.mount kernel2 ~policy:Fs.Rio_policy in
-        fs_ref := Some fs2;
-        fs2)
-  in
-  let fs2 = match !fs_ref with Some f -> f | None -> assert false in
+  Fs.crash fs;
+  let _, fs2 = World.warm_reboot w in
   let lost_files, lost_bytes = Memtest.loss_against_fs mt fs2 in
   { delay = None; label = "rio (warm reboot)"; run_s; lost_bytes; lost_files }
 

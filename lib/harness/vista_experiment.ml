@@ -1,10 +1,7 @@
 module Engine = Rio_sim.Engine
-module Costs = Rio_sim.Costs
 module Kernel = Rio_kernel.Kernel
 module Kcrash = Rio_kernel.Kcrash
-module Fs = Rio_fs.Fs
-module Rio_cache = Rio_core.Rio_cache
-module Warm_reboot = Rio_core.Warm_reboot
+module World = Rio_world.World
 module Vista = Rio_txn.Vista
 module Injector = Rio_fault.Injector
 module Fault_type = Rio_fault.Fault_type
@@ -46,20 +43,9 @@ let total store =
   done;
   !sum
 
-let make_rio kernel ~protection =
-  ignore
-    (Rio_cache.create ~mem:(Kernel.mem kernel) ~layout:(Kernel.layout kernel)
-       ~mmu:(Kernel.mmu kernel) ~engine:(Kernel.engine kernel) ~costs:(Kernel.costs kernel)
-       ~hooks:(Kernel.hooks kernel) ~pool_alloc:(Kernel.pool_alloc kernel) ~protection ~dev:1 ())
-
 let run_one fault ~protection ~seed =
-  let engine = Engine.create () in
-  let costs = Costs.default in
-  let kcfg = Kernel.config_with_seed seed in
-  let kernel = Kernel.boot ~engine ~costs kcfg in
-  Kernel.format kernel;
-  make_rio kernel ~protection;
-  let fs = Kernel.mount kernel ~policy:Fs.Rio_policy in
+  let w = World.create ~protection ~seed () in
+  let engine = World.engine w and kernel = World.kernel w and fs = World.fs w in
   let store = Vista.create fs ~path:"/ledger" ~size:4096 in
   (* Fund the bank in one committed transaction. *)
   let t0 = Vista.begin_txn store in
@@ -109,20 +95,7 @@ let run_one fault ~protection ~seed =
     }
   | Some info ->
     Kernel.crash_system kernel info;
-    let fs_ref = ref None in
-    ignore
-      (Warm_reboot.perform ~mem:(Kernel.mem kernel) ~disk:(Kernel.disk kernel)
-         ~layout:(Kernel.layout kernel) ~engine
-         ~reboot:(fun () ->
-           let kernel2 =
-             Kernel.boot_warm ~engine ~costs kcfg ~mem:(Kernel.mem kernel)
-               ~disk:(Kernel.disk kernel)
-           in
-           make_rio kernel2 ~protection;
-           let fs2 = Kernel.mount kernel2 ~policy:Fs.Rio_policy in
-           fs_ref := Some fs2;
-           fs2));
-    let fs2 = match !fs_ref with Some f -> f | None -> assert false in
+    let _, fs2 = World.warm_reboot w in
     (match Vista.recover fs2 ~path:"/ledger" with
     | rolled ->
       let store2 = Vista.open_existing fs2 ~path:"/ledger" in

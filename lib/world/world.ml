@@ -5,6 +5,7 @@ module Fs = Rio_fs.Fs
 module Phys_mem = Rio_mem.Phys_mem
 module Disk = Rio_disk.Disk
 module Rio_cache = Rio_core.Rio_cache
+module Warm_reboot = Rio_core.Warm_reboot
 module Trace = Rio_obs.Trace
 
 (* The frozen template: one O(1) copy-on-write memory snapshot plus a
@@ -29,23 +30,23 @@ type t = {
   kernel : Kernel.t;
   rio : Rio_cache.t option; (* [None]: a disk-based world, no Rio cache *)
   fs : Fs.t;
+  policy : Fs.policy;
+  (* The Rio cache this world boots with, re-created by every reboot;
+     [None] on a disk-based world. *)
+  attach_rio : Kernel.t -> Rio_cache.t option;
+  (* Memories cold reboots allocated, retired at the next restore or at
+     dispose. *)
+  mutable cold_mems : Phys_mem.t list;
   mutable template : template option;
   mutable resets : (unit -> unit) list; (* registration order *)
   mutable restores : int;
   mutable pages_restored : int;
 }
 
-(* The --reference escape hatch: when off, clients build every trial
-   world from scratch instead of restoring templates. Set once before
-   any worker domain spawns (domain spawn publishes the write). *)
-let templates = Atomic.make true
-let set_use_templates b = Atomic.set templates b
-let templates_on () = Atomic.get templates
-
-let create ?(obs = Trace.null) ?config ?(rio = true) ?(protection = true) ?(shadow = true)
-    ?(registry = true) ?(policy = Fs.Rio_policy) ?backend ?(wb_unordered = false) ~seed () =
+let create ?(obs = Trace.null) ?config ?(costs = Costs.default) ?(rio = true)
+    ?(protection = true) ?(shadow = true) ?(registry = true) ?(policy = Fs.Rio_policy) ?backend
+    ?(wb_unordered = false) ~seed () =
   let engine = Engine.create ~obs () in
-  let costs = Costs.default in
   let config =
     match config with
     | Some c -> { c with Kernel.seed }
@@ -56,17 +57,17 @@ let create ?(obs = Trace.null) ?config ?(rio = true) ?(protection = true) ?(shad
     | Some b -> { config with Kernel.disk_backend = b }
     | None -> config
   in
-  let kernel = Kernel.boot ~engine ~costs config in
-  Kernel.format kernel;
-  let rio =
+  let attach_rio k =
     if rio then
       Some
-        (Rio_cache.create ~shadow ~registry ~mem:(Kernel.mem kernel)
-           ~layout:(Kernel.layout kernel) ~mmu:(Kernel.mmu kernel) ~engine ~costs
-           ~hooks:(Kernel.hooks kernel) ~pool_alloc:(Kernel.pool_alloc kernel) ~protection
-           ~dev:1 ())
+        (Rio_cache.create ~shadow ~registry ~mem:(Kernel.mem k) ~layout:(Kernel.layout k)
+           ~mmu:(Kernel.mmu k) ~engine ~costs ~hooks:(Kernel.hooks k)
+           ~pool_alloc:(Kernel.pool_alloc k) ~protection ~dev:1 ())
     else None
   in
+  let kernel = Kernel.boot ~engine ~costs config in
+  Kernel.format kernel;
+  let rio = attach_rio kernel in
   let fs = Kernel.mount ~wb_unordered kernel ~policy in
   {
     seed;
@@ -76,6 +77,9 @@ let create ?(obs = Trace.null) ?config ?(rio = true) ?(protection = true) ?(shad
     kernel;
     rio;
     fs;
+    policy;
+    attach_rio;
+    cold_mems = [];
     template = None;
     resets = [];
     restores = 0;
@@ -96,6 +100,41 @@ let mem t = Kernel.mem t.kernel
 let disk t = Kernel.disk t.kernel
 let hooks t = Kernel.hooks t.kernel
 let layout t = Kernel.layout t.kernel
+
+(* ---------------- recovery ---------------- *)
+
+(* The rebooted kernel gets this world's Rio cache, if it has one, and an
+   ordered mount: the planted write-behind bug is in the crashed kernel,
+   not in the one that recovers. *)
+let remount t k =
+  ignore (t.attach_rio k : Rio_cache.t option);
+  Kernel.mount k ~policy:t.policy
+
+let warm_reboot t =
+  let recovered = ref None in
+  let report =
+    Warm_reboot.perform ~mem:(mem t) ~disk:(disk t) ~layout:(layout t) ~engine:t.engine
+      ~reboot:(fun () ->
+        let fs =
+          remount t
+            (Kernel.boot_warm ~engine:t.engine ~costs:t.costs t.config ~mem:(mem t)
+               ~disk:(disk t))
+        in
+        recovered := Some fs;
+        fs)
+  in
+  match !recovered with Some fs -> (report, fs) | None -> assert false
+
+let cold_reboot t =
+  let k = Kernel.boot_on_disk ~engine:t.engine ~costs:t.costs t.config ~disk:(disk t) in
+  t.cold_mems <- Kernel.mem k :: t.cold_mems;
+  remount t k
+
+let retire_cold_mems t =
+  List.iter Phys_mem.retire t.cold_mems;
+  t.cold_mems <- []
+
+(* ---------------- templates ---------------- *)
 
 let on_restore t f = t.resets <- t.resets @ [ f ]
 
@@ -127,6 +166,7 @@ let restore t =
     (* Client resets first (drop stray probe captures, rewind payload
        cursors): they must not depend on the rewound state. *)
     List.iter (fun f -> f ()) t.resets;
+    retire_cold_mems t;
     let pages = Phys_mem.restore_keep (Kernel.mem t.kernel) tpl.snap in
     (* Engine first: it clears the event queue, so Fs.restore (inside the
        kernel's fs handle) can re-schedule the update daemon at its
@@ -147,6 +187,7 @@ let restores t = t.restores
 let pages_restored t = t.pages_restored
 
 let dispose t =
+  retire_cold_mems t;
   (match t.template with
   | Some tpl -> Phys_mem.release (Kernel.mem t.kernel) tpl.snap
   | None -> ());

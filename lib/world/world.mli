@@ -17,14 +17,20 @@
     log cursors).
 
     A restored world is byte-for-byte the world a fresh build produces —
-    the [--reference] mode ({!set_use_templates}[ false]) exists to prove
-    it on demand. *)
+    the [--reference] mode ({!Rio_util.Fastpath}[ off]), under which the
+    trial engine builds every world from scratch, exists to prove it on
+    demand.
+
+    The world also owns the two recovery sequences of §2.2 ({!warm_reboot},
+    {!cold_reboot}), so every harness crashes and recovers through one
+    path. *)
 
 type t
 
 val create :
   ?obs:Rio_obs.Trace.t ->
   ?config:Rio_kernel.Kernel.config ->
+  ?costs:Rio_sim.Costs.t ->
   ?rio:bool ->
   ?protection:bool ->
   ?shadow:bool ->
@@ -40,10 +46,12 @@ val create :
     harness's paper-scale machines), format, [Rio_cache.create] (with the
     given protection/shadow/registry toggles), mount. [~rio:false] skips
     the Rio cache entirely — a disk-based world ({!rio} then raises).
-    [backend] selects the persistence backend (spliced into the kernel
-    config over whatever [config] says); [wb_unordered] plants the
-    write-behind ordering bug (see {!Rio_fs.Fs.mount}). Defaults: null
-    trace, everything on, [Rio_policy], SCSI backend, ordered. *)
+    [costs] is the simulated cost model (the ablations vary the update
+    interval and the disk). [backend] selects the persistence backend
+    (spliced into the kernel config over whatever [config] says);
+    [wb_unordered] plants the write-behind ordering bug (see
+    {!Rio_fs.Fs.mount}). Defaults: null trace, {!Rio_sim.Costs.default},
+    everything on, [Rio_policy], SCSI backend, ordered. *)
 
 (** {1 Accessors} *)
 
@@ -62,6 +70,30 @@ val disk : t -> Rio_disk.Disk.t
 val hooks : t -> Rio_fs.Hooks.t
 val layout : t -> Rio_mem.Layout.t
 
+(** {1 Recovery}
+
+    Both sequences reboot on this world's engine, cost model and kernel
+    config, re-create the Rio cache only if the world has one (with its
+    protection/shadow/registry toggles), and mount with the world's policy
+    — always ordered, even on a [wb_unordered] world: the planted bug
+    lives in the crashed kernel, not the recovered one. The caller crashes
+    the world first ({!Rio_fs.Fs.crash} or
+    {!Rio_kernel.Kernel.crash_system}). The world's accessors keep
+    naming the crashed stack; the recovered file system is returned. *)
+
+val warm_reboot : t -> Rio_core.Warm_reboot.report * Rio_fs.Fs.t
+(** Warm reboot on the surviving memory ({!Rio_core.Warm_reboot.perform}):
+    dump to swap, restore metadata from the registry, fsck, warm-boot the
+    kernel on the same memory, mount, restore data. *)
+
+val cold_reboot : t -> Rio_fs.Fs.t
+(** Cold reboot on the disk alone: boot a kernel with fresh memory on this
+    world's disk and mount. Runs no fsck — that verdict stays with the
+    caller, who runs {!Rio_fs.Fsck} first and decides whether to reboot at
+    all. The fresh memory is retired at the next {!restore} or at
+    {!dispose}. Raises [Rio_fs.Fs_types.Fs_error] when the image is
+    unmountable. *)
+
 (** {1 Template lifecycle} *)
 
 val freeze : t -> unit
@@ -78,8 +110,9 @@ val on_restore : t -> (unit -> unit) -> unit
     state the world cannot see: probe captures, Vista cursors. *)
 
 val restore : t -> int
-(** Rewind everything to the frozen template; returns the number of
-    dirty pages blitted back. The snapshot is kept — restore again as
+(** Rewind everything to the frozen template (retiring any memory a
+    {!cold_reboot} allocated since); returns the number of dirty pages
+    blitted back. The snapshot is kept — restore again as
     many times as needed. Raises [Invalid_argument] if not frozen. *)
 
 val restores : t -> int
@@ -90,13 +123,5 @@ val pages_restored : t -> int
 
 val dispose : t -> unit
 (** Release the template snapshot (if any) and retire the world's
-    physical memory (asserts no leaked snapshots — a leak here means a
-    probe capture was never dropped). *)
-
-(** {1 Global template toggle} *)
-
-val set_use_templates : bool -> unit
-(** [false] = reference mode: clients build every trial world from
-    scratch. Set once, before any worker domain spawns. *)
-
-val templates_on : unit -> bool
+    physical memory, and any a cold reboot allocated (asserts no leaked
+    snapshots — a leak here means a probe capture was never dropped). *)
