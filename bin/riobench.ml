@@ -1,8 +1,9 @@
 (* riobench — regenerate the Rio paper's experiments.
 
-   Subcommands: table1 (reliability), table2 (performance), mttf
-   (projection), ablation (protection / code-patching / registry / delay
-   sweep), trace (flight-recorder forensics of one crash trial), all. *)
+   Subcommands: table1 (reliability and the MTTF projection), table2
+   (performance), ablation (protection / code-patching / registry / delay
+   sweep), messages, trace (flight-recorder forensics of one crash
+   trial), vista, workloads, check, fuzz, cov, microbench, all. *)
 
 module Reliability = Rio_harness.Reliability
 module Run = Rio_harness.Run
@@ -105,27 +106,35 @@ let ring_capacity_arg =
            (default 65536; 0 = metrics only). Out-of-range values are \
            clamped and the clamp reported on stderr.")
 
-let hist_buckets_arg =
-  Arg.(
-    value
-    & opt (some (list int)) None
-    & info [ "hist-buckets" ] ~docv:"E1,E2,.."
-        ~doc:
-          "Histogram bucket edges (microseconds) for metric rollups in \
-           --json output. Sanitized: sorted, deduplicated, negatives \
-           dropped, truncated to 64 edges — every adjustment reported on \
-           stderr.")
-
-(* Fold the CLI observability knobs into the config and surface every
-   clamp the sanitizer applied. *)
-let with_obs cfg ~ring ~buckets =
-  let cfg =
-    { cfg with Run.obs_capacity = ring; obs_buckets = Option.map Array.of_list buckets }
-  in
+(* Fold the CLI ring-capacity knob into the config and surface any clamp
+   the sanitizer applied. *)
+let with_obs cfg ~ring =
+  let cfg = { cfg with Run.obs_capacity = ring } in
   List.iter (fun w -> Printf.eprintf "riobench: %s\n%!" w) (Run.obs_warnings cfg);
   cfg
 
-let write_table1_json (file, oc) ~crashes ~seed ~jobs ~wall_s ~bucket_edges results =
+(* The one --json sink: open early (fail fast on a bad path, not after a
+   30-minute run), wrap the library document with the invocation header,
+   write on completion. Wall-clock and job counts stay OUT of the
+   documents CI compares across -j (fuzz --tasks, cov) — they are
+   telemetry, not results — so those callers pass [header] without them. *)
+let open_json_sink json =
+  Option.map
+    (fun file ->
+      try (file, open_out file)
+      with Sys_error msg ->
+        Printf.eprintf "riobench: cannot open --json output: %s\n%!" msg;
+        exit 1)
+    json
+
+let write_json_doc (file, oc) ~header body =
+  let doc = Json.Obj (header @ body) in
+  output_string oc (Json.pretty doc);
+  output_char oc '\n';
+  close_out oc;
+  Printf.eprintf "wrote %s\n%!" file
+
+let write_table1_json out ~crashes ~seed ~jobs ~wall_s results =
   let cell_json (system, fault, c) =
     Json.Obj
       [
@@ -139,28 +148,25 @@ let write_table1_json (file, oc) ~crashes ~seed ~jobs ~wall_s ~bucket_edges resu
         ("checksum_detections", Json.Int c.Reliability.checksum_detections);
       ]
   in
-  let doc =
-    Json.Obj
-      ([
-         ("benchmark", Json.Str "table1");
-         ("crashes_per_cell", Json.Int crashes);
-         ("seed", Json.Int seed);
-         ("jobs", Json.Int jobs);
-         ("wall_s", Json.Float wall_s);
-         ("unique_messages", Json.Int results.Reliability.unique_messages);
-         ( "unique_consistency_messages",
-           Json.Int results.Reliability.unique_consistency_messages );
-         ("cells", Json.Arr (List.map cell_json results.Reliability.cells));
-       ]
-      @
-      match results.Reliability.metrics with
-      | Some snap -> [ ("metrics", Trace.snapshot_json ?bucket_edges snap) ]
-      | None -> [])
-  in
-  output_string oc (Json.pretty doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.eprintf "wrote %s\n%!" file
+  write_json_doc out
+    ~header:
+      [
+        ("benchmark", Json.Str "table1");
+        ("crashes_per_cell", Json.Int crashes);
+        ("seed", Json.Int seed);
+        ("jobs", Json.Int jobs);
+        ("wall_s", Json.Float wall_s);
+      ]
+    ([
+       ("unique_messages", Json.Int results.Reliability.unique_messages);
+       ( "unique_consistency_messages",
+         Json.Int results.Reliability.unique_consistency_messages );
+       ("cells", Json.Arr (List.map cell_json results.Reliability.cells));
+     ]
+    @
+    match results.Reliability.metrics with
+    | Some snap -> [ ("metrics", Trace.snapshot_json snap) ]
+    | None -> [])
 
 (* ---------------- table1 ---------------- *)
 
@@ -174,22 +180,12 @@ let trace_dir_arg =
            trial into $(docv) (created if missing) and aggregate per-trial \
            metrics into --json output. Off by default (zero overhead).")
 
-let run_table1 crashes seed jobs json trace_dir coverage ring buckets reference verbose =
+let run_table1 crashes seed jobs json trace_dir coverage ring reference verbose =
   set_fastpath ~reference;
-  (* Open the JSON sink before the campaign: a bad path must fail in
-     milliseconds, not after a 30-minute run. *)
-  let json_out =
-    Option.map
-      (fun file ->
-        try (file, open_out file)
-        with Sys_error msg ->
-          Printf.eprintf "riobench: cannot open --json output: %s\n%!" msg;
-          exit 1)
-      json
-  in
+  let json_out = open_json_sink json in
   Printf.printf "Table 1: corruption per fault type (%d crash tests per cell)\n\n%!" crashes;
   let cfg =
-    with_obs ~ring ~buckets
+    with_obs ~ring
       {
         Run.default with
         Run.seed = seed;
@@ -224,11 +220,7 @@ let run_table1 crashes seed jobs json trace_dir coverage ring buckets reference 
             (Array.fold_left max min_int values))
       snap.Trace.histograms
   | _ -> ());
-  match json_out with
-  | Some out ->
-    write_table1_json out ~crashes ~seed ~jobs ~wall_s ~bucket_edges:(Run.obs_buckets cfg)
-      results
-  | None -> ()
+  Option.iter (fun out -> write_table1_json out ~crashes ~seed ~jobs ~wall_s results) json_out
 
 let crashes_arg =
   Arg.(
@@ -247,12 +239,15 @@ let coverage_arg =
            table1 rolls per-trial metrics up even with tracing off.")
 
 let table1_cmd =
-  let doc = "Reproduce Table 1: how often crashes corrupt file data." in
+  let doc =
+    "Reproduce Table 1: how often crashes corrupt file data, and the MTTF \
+     projection from those rates (paper: disk 15y, Rio 11y)."
+  in
   Cmd.v
     (Cmd.info "table1" ~doc)
     Term.(
       const run_table1 $ crashes_arg $ seed_arg $ jobs_arg $ json_arg $ trace_dir_arg
-      $ coverage_arg $ ring_capacity_arg $ hist_buckets_arg $ reference_arg $ verbose_arg)
+      $ coverage_arg $ ring_capacity_arg $ reference_arg $ verbose_arg)
 
 (* ---------------- table2 ---------------- *)
 
@@ -286,30 +281,6 @@ let table2_cmd =
   let doc = "Reproduce Table 2: performance of the eight file-system configurations." in
   Cmd.v (Cmd.info "table2" ~doc)
     Term.(const run_table2 $ scale_arg $ seed_arg $ jobs_arg $ backend_arg $ verbose_arg)
-
-(* ---------------- mttf ---------------- *)
-
-let run_mttf crashes seed jobs verbose =
-  Printf.printf "MTTF projection (a crash every two months, as in the paper)\n\n%!";
-  let results =
-    Reliability.run
-      ~systems:
-        [ Rio_fault.Campaign.Disk_based; Rio_fault.Campaign.Rio_without_protection;
-          Rio_fault.Campaign.Rio_with_protection ]
-      {
-        Run.default with
-        Run.seed = seed;
-        trials = crashes;
-        domains = jobs;
-        progress = progress verbose;
-      }
-  in
-  print_string (Table.render (Reliability.comparison_table results))
-
-let mttf_cmd =
-  let doc = "Project MTTF from measured corruption rates (paper: disk 15y, Rio 11y)." in
-  Cmd.v (Cmd.info "mttf" ~doc)
-    Term.(const run_mttf $ crashes_arg $ seed_arg $ jobs_arg $ verbose_arg)
 
 (* ---------------- ablation ---------------- *)
 
@@ -546,27 +517,6 @@ let matrix_arg =
            ablations must be flagged. Exit status reflects whether every \
            verdict matched.")
 
-(* Shared --json sink for check/fuzz/cov: open early (fail fast on a bad
-   path), wrap the library document with the invocation header, write on
-   completion. Wall-clock and job counts stay OUT of the cov document —
-   they are telemetry, not results — so those wrappers pass [header]
-   without them. *)
-let open_json_sink json =
-  Option.map
-    (fun file ->
-      try (file, open_out file)
-      with Sys_error msg ->
-        Printf.eprintf "riobench: cannot open --json output: %s\n%!" msg;
-        exit 1)
-    json
-
-let write_json_doc (file, oc) ~header body =
-  let doc = Json.Obj (header @ body) in
-  output_string oc (Json.pretty doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.eprintf "wrote %s\n%!" file
-
 let print_heatmap = function
   | Some cov ->
     print_newline ();
@@ -585,13 +535,13 @@ let interleave_arg =
            default) keeps the single-task campaign unchanged. Ignored with \
            --matrix.")
 
-let run_check seed jobs backend scenarios matrix interleave json coverage ring buckets
-    reference verbose =
+let run_check seed jobs backend scenarios matrix interleave json coverage ring reference
+    verbose =
   set_fastpath ~reference;
   let only = match scenarios with [] -> None | slugs -> Some slugs in
   let json_out = open_json_sink json in
   let cfg =
-    with_obs ~ring ~buckets
+    with_obs ~ring
       { Run.default with Run.seed; domains = jobs; coverage; progress = progress verbose }
   in
   let header wall_s =
@@ -638,7 +588,7 @@ let run_check seed jobs backend scenarios matrix interleave json coverage ring b
           write_json_doc out ~header:(header wall_s)
             [ ("report", Explorer.report_json report) ])
         json_out;
-      if Explorer.violation_count report = 0 then `Ok else `Violations
+      if Explorer.report_ok report then `Ok else `Violations
     end
   with
   | `Ok -> ()
@@ -658,8 +608,8 @@ let check_cmd =
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
       const run_check $ seed_arg $ jobs_arg $ backend_arg $ scenario_arg $ matrix_arg
-      $ interleave_arg $ json_arg $ coverage_arg $ ring_capacity_arg $ hist_buckets_arg
-      $ reference_arg $ verbose_arg)
+      $ interleave_arg $ json_arg $ coverage_arg $ ring_capacity_arg $ reference_arg
+      $ verbose_arg)
 
 (* ---------------- fuzz ---------------- *)
 
@@ -721,8 +671,32 @@ let find_spec config ~cmd =
     Printf.eprintf "riobench: unknown --config %S (see riobench %s --help)\n%!" config cmd;
     exit 2
 
-let run_fuzz trials max_ops seed jobs backend config tasks matrix json coverage ring buckets
-    reference verbose =
+(* A library call that rejected its spec (a cold spec where only warm
+   recovery is audited): report the library's message, exit 2. *)
+let or_exit_2 f =
+  try f ()
+  with Invalid_argument msg ->
+    Printf.eprintf "riobench: %s\n%!" msg;
+    exit 2
+
+(* Exit status from the library's verdict [ok]: 0 for a safe
+   configuration that passed, 1 for any miss, and 2 when a known-unsafe
+   configuration was caught and shrunk — the verdict CI asserts on. *)
+let exit_on_verdict ~ok ~expect_safe config =
+  match (ok, expect_safe) with
+  | true, true -> ()
+  | false, true -> exit 1
+  | true, false ->
+    Printf.eprintf "riobench: %s ablation caught and shrunk\n%!" config;
+    exit 2
+  | false, false ->
+    Printf.eprintf
+      "riobench: %s ablation was NOT caught (or the repro did not shrink) — checker hole\n%!"
+      config;
+    exit 1
+
+let run_fuzz trials max_ops seed jobs backend config tasks matrix json coverage ring reference
+    verbose =
   set_fastpath ~reference;
   let module Fuzzer = Rio_fuzz.Fuzzer in
   if trials <= 0 || max_ops <= 0 then begin
@@ -743,7 +717,7 @@ let run_fuzz trials max_ops seed jobs backend config tasks matrix json coverage 
   end;
   let json_out = open_json_sink json in
   let cfg =
-    with_obs ~ring ~buckets
+    with_obs ~ring
       {
         Run.default with
         Run.seed;
@@ -768,14 +742,10 @@ let run_fuzz trials max_ops seed jobs backend config tasks matrix json coverage 
        lost-update ablation the fuzzer must catch and shrink. *)
     let locking = config <> "lock-off" in
     let spec = if locking then find_spec config ~cmd:"fuzz" else Explorer.rio_prot in
-    if spec.Explorer.cold then begin
-      Printf.eprintf "riobench: cold-recovery configs (%s) are single-task only\n%!" config;
-      exit 2
-    end;
     let spec = { spec with Explorer.backend } in
     Printf.printf "Interleaving crash-schedule fuzz (seed %d, %d tasks, %s)\n\n%!" seed
       tasks config;
-    let report = Fuzzer.run_tasks ~spec ~locking ~max_ops ~tasks cfg in
+    let report = or_exit_2 (fun () -> Fuzzer.run_tasks ~spec ~locking ~max_ops ~tasks cfg) in
     let wall_s = Unix.gettimeofday () -. t0 in
     print_string (Fuzzer.render_tasks report);
     if coverage then print_heatmap report.Fuzzer.tr_coverage;
@@ -793,21 +763,7 @@ let run_fuzz trials max_ops seed jobs backend config tasks matrix json coverage 
             ]
           [ ("report", Fuzzer.treport_json report) ])
       json_out;
-    if locking then begin
-      if report.Fuzzer.tr_violations > 0 then exit 1
-    end
-    else if Fuzzer.tasks_caught report then begin
-      (* The ablation run is SUPPOSED to find violations; exit 2 is the
-         caught-and-shrunk verdict CI asserts on. *)
-      Printf.eprintf "riobench: lock-off ablation caught and shrunk\n%!";
-      exit 2
-    end
-    else begin
-      Printf.eprintf
-        "riobench: lock-off ablation was NOT caught (or the repro did not \
-         shrink) — checker hole\n%!";
-      exit 1
-    end
+    exit_on_verdict ~ok:(Fuzzer.treport_ok report) ~expect_safe:locking config
   end
   else if matrix then begin
     Printf.printf "Randomized crash-schedule fuzz, configuration matrix (seed %d)\n\n%!" seed;
@@ -836,27 +792,7 @@ let run_fuzz trials max_ops seed jobs backend config tasks matrix json coverage 
       (fun out ->
         write_json_doc out ~header:(header wall_s) [ ("report", Fuzzer.report_json report) ])
       json_out;
-    if spec.Explorer.expect_safe then begin
-      if report.Fuzzer.violations > 0 then exit 1
-    end
-    else if
-      report.Fuzzer.violations > 0
-      && List.exists
-           (fun (c : Fuzzer.counterexample) ->
-             List.length c.Fuzzer.ops <= Fuzzer.max_repro_ops && c.Fuzzer.problems <> [])
-           report.Fuzzer.counterexamples
-    then begin
-      (* A known-unsafe config is SUPPOSED to find violations; exit 2 is
-         the caught-and-shrunk verdict CI asserts on. *)
-      Printf.eprintf "riobench: %s ablation caught and shrunk\n%!" config;
-      exit 2
-    end
-    else begin
-      Printf.eprintf
-        "riobench: %s ablation was NOT caught (or the repro did not shrink) — checker hole\n%!"
-        config;
-      exit 1
-    end
+    exit_on_verdict ~ok:(Fuzzer.report_ok report) ~expect_safe:spec.Explorer.expect_safe config
   end
 
 let fuzz_cmd =
@@ -872,7 +808,7 @@ let fuzz_cmd =
     Term.(
       const run_fuzz $ trials_arg $ max_ops_arg $ seed_arg $ jobs_arg $ backend_arg
       $ config_arg $ tasks_fuzz_arg $ fuzz_matrix_arg $ json_arg $ coverage_arg
-      $ ring_capacity_arg $ hist_buckets_arg $ reference_arg $ verbose_arg)
+      $ ring_capacity_arg $ reference_arg $ verbose_arg)
 
 (* ---------------- cov ---------------- *)
 
@@ -901,8 +837,8 @@ let cov_json_arg =
            Contains no wall-clock or job-count fields: equal campaigns \
            write byte-identical documents at any -j.")
 
-let run_cov only require_full json config trials max_ops seed jobs backend ring buckets
-    reference verbose =
+let run_cov only require_full json config trials max_ops seed jobs backend ring reference
+    verbose =
   set_fastpath ~reference;
   if trials <= 0 || max_ops <= 0 then begin
     Printf.eprintf "riobench: --trials and --max-ops must be positive\n%!";
@@ -912,7 +848,7 @@ let run_cov only require_full json config trials max_ops seed jobs backend ring 
   let spec = { (find_spec config ~cmd:"cov") with Explorer.backend } in
   let json_out = open_json_sink (Some json) in
   let cfg =
-    with_obs ~ring ~buckets
+    with_obs ~ring
       {
         Run.default with
         Run.seed = seed;
@@ -928,7 +864,7 @@ let run_cov only require_full json config trials max_ops seed jobs backend ring 
     match only with
     | `Fuzz -> None
     | `Check | `All ->
-      let r = Explorer.run ~spec cfg in
+      let r = or_exit_2 (fun () -> Explorer.run ~spec cfg) in
       Printf.printf "[check] %d scenarios, %d crash points, %d violations\n%!"
         (List.length r.Explorer.scenarios)
         (Explorer.crash_points r) (Explorer.violation_count r);
@@ -1020,14 +956,14 @@ let cov_cmd =
     Term.(
       const run_cov $ cov_only_arg $ require_full_arg $ cov_json_arg $ config_arg
       $ trials_arg $ max_ops_arg $ seed_arg $ jobs_arg $ backend_arg $ ring_capacity_arg
-      $ hist_buckets_arg $ reference_arg $ verbose_arg)
+      $ reference_arg $ verbose_arg)
 
 (* ---------------- microbench ---------------- *)
 
-(* The simulator's own profiler: no perf/gprof in this toolchain, so the
-   fast-path work is measured by timing each hot phase directly — the
-   interpreted CPU loop (fast and reference), a world build, a warm
-   reboot, and an end-to-end fuzz crash trial. *)
+(* The probes the CI perf-smoke gate reads against BENCH_cpu.json: the
+   interpreted CPU loop (fast and reference), a template restore, and an
+   end-to-end fuzz crash trial. perfbench/ times every other phase (world
+   build, boot, mount, warm reboot, workload steps, campaign trials). *)
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -1071,61 +1007,6 @@ let cpu_probe ~fast =
   let instrs = Machine.instructions_retired m - before in
   (instrs, wall)
 
-(* Boot + format + Rio + mount + a little file population — the fixed
-   cost every campaign trial pays before any fault goes in. Sub-phase
-   timings accumulate into the caller's [detail] array (boot / format /
-   mount / seed-files), which stays local to one probe run so concurrent
-   runs never share an accumulator. *)
-let probe_world ?(detail = Array.make 4 0.0) ~seed () =
-  let module Kernel = Rio_kernel.Kernel in
-  let module Fs = Rio_fs.Fs in
-  let sub i f =
-    let r, s = time f in
-    detail.(i) <- detail.(i) +. s;
-    r
-  in
-  let engine = Rio_sim.Engine.create () in
-  let costs = Rio_sim.Costs.default in
-  let kcfg = Kernel.config_with_seed seed in
-  let kernel = sub 0 (fun () -> Kernel.boot ~engine ~costs kcfg) in
-  sub 1 (fun () -> Kernel.format kernel);
-  let fs =
-    sub 2 (fun () ->
-        ignore
-          (Rio_core.Rio_cache.create ~mem:(Kernel.mem kernel) ~layout:(Kernel.layout kernel)
-             ~mmu:(Kernel.mmu kernel) ~engine ~costs ~hooks:(Kernel.hooks kernel)
-             ~pool_alloc:(Kernel.pool_alloc kernel) ~protection:true ~dev:1 ());
-        Kernel.mount kernel ~policy:Fs.Rio_policy)
-  in
-  sub 3 (fun () ->
-      for i = 0 to 7 do
-        Fs.write_file fs
-          (Printf.sprintf "/f%d" i)
-          (Rio_util.Pattern.fill ~seed:(seed + i) ~len:6000)
-      done);
-  (engine, costs, kcfg, kernel, fs)
-
-let reboot_probe ~seed =
-  let module Kernel = Rio_kernel.Kernel in
-  let module Fs = Rio_fs.Fs in
-  let engine, costs, kcfg, kernel, _fs = probe_world ~seed () in
-  time (fun () ->
-      ignore
-        (Rio_core.Warm_reboot.perform ~mem:(Kernel.mem kernel) ~disk:(Kernel.disk kernel)
-           ~layout:(Kernel.layout kernel) ~engine
-           ~reboot:(fun () ->
-             let kernel2 =
-               Kernel.boot_warm ~engine ~costs kcfg ~mem:(Kernel.mem kernel)
-                 ~disk:(Kernel.disk kernel)
-             in
-             ignore
-               (Rio_core.Rio_cache.create ~mem:(Kernel.mem kernel2)
-                  ~layout:(Kernel.layout kernel2) ~mmu:(Kernel.mmu kernel2) ~engine ~costs
-                  ~hooks:(Kernel.hooks kernel2) ~pool_alloc:(Kernel.pool_alloc kernel2)
-                  ~protection:true ~dev:1 ());
-             Kernel.mount kernel2 ~policy:Fs.Rio_policy)
-          : Rio_core.Warm_reboot.report))
-
 (* Snapshot-restore cost: freeze a populated world once, then repeatedly
    dirty it the way an attempt would (file writes plus a directory op)
    and rewind. Reports ms/restore and dirty pages blitted back per
@@ -1155,96 +1036,24 @@ let restore_probe ~seed ~iters =
   World.dispose w;
   (wall, pages)
 
-(* One campaign workload step, split into its three ingredients — where a
-   table1 trial actually spends its time. *)
-let step_probe ~seed ~steps =
-  let module Kernel = Rio_kernel.Kernel in
-  let module Memtest = Rio_workload.Memtest in
-  let module Andrew = Rio_workload.Andrew in
-  let module Script = Rio_workload.Script in
-  let _engine, _costs, _kcfg, kernel, fs = probe_world ~seed () in
-  let mt =
-    Memtest.create
-      { Memtest.default_config with Memtest.seed = seed lxor 0x77; max_files = 24 }
-  in
-  let andrews =
-    List.init 2 (fun i ->
-        Andrew.runner
-          (Andrew.create ~scale:0.03 ~seed:(200 + i) ~root:(Printf.sprintf "/bg%d" i) ()))
-  in
-  let (), memtest_s =
-    time (fun () ->
-        for _ = 1 to steps do
-          Memtest.step mt ~fs ()
-        done)
-  in
-  let (), andrew_s =
-    time (fun () ->
-        for _ = 1 to steps do
-          List.iter (fun r -> ignore (Script.step r fs)) andrews
-        done)
-  in
-  let (), activity_s =
-    time (fun () ->
-        for _ = 1 to 2 * steps do
-          Kernel.run_activity kernel
-        done)
-  in
-  (memtest_s, andrew_s, activity_s)
-
 let fuzz_probe ~seed ~trials =
   let module Fuzzer = Rio_fuzz.Fuzzer in
-  let spec =
-    match
-      List.find_opt (fun (s : Explorer.spec) -> s.Explorer.label = "rio-prot")
-        Explorer.matrix_specs
-    with
-    | Some s -> s
-    | None -> assert false
-  in
   let cfg = { Run.default with Run.seed = seed; trials; domains = 1 } in
-  time (fun () -> ignore (Fuzzer.run ~spec ~max_ops:Rio_fuzz.Fuzzer.default_max_ops cfg))
+  time (fun () ->
+      ignore (Fuzzer.run ~spec:Explorer.rio_prot ~max_ops:Fuzzer.default_max_ops cfg))
 
 let run_microbench seed json reference _verbose =
   set_fastpath ~reference;
+  let json_out = open_json_sink json in
   let mode = if reference then "reference" else "fast" in
   Printf.printf "Microbenchmarks (%s data path, seed %d)\n\n%!" mode seed;
   (* CPU in both modes regardless of --reference: the ratio is the point. *)
   let cpu_fast_instrs, cpu_fast_s = cpu_probe ~fast:true in
   let cpu_ref_instrs, cpu_ref_s = cpu_probe ~fast:false in
-  let world_iters = 3 in
-  let detail = Array.make 4 0.0 in
-  let (), world_s =
-    time (fun () ->
-        for i = 1 to world_iters do
-          let _, _, _, kernel, _ = probe_world ~detail ~seed:(seed + i) () in
-          (* Recycle as a campaign trial would — steady-state boot cost. *)
-          Rio_mem.Phys_mem.retire (Rio_kernel.Kernel.mem kernel)
-        done)
-  in
   let restore_iters = 50 in
   let restore_s, restore_pages = restore_probe ~seed ~iters:restore_iters in
-  let reboot_iters = 3 in
-  let reboot_s = ref 0.0 in
-  for i = 1 to reboot_iters do
-    let (), s = reboot_probe ~seed:(seed + i) in
-    reboot_s := !reboot_s +. s
-  done;
-  let probe_steps = 100 in
-  let memtest_s, andrew_s, activity_s = step_probe ~seed ~steps:probe_steps in
   let fuzz_trials = 12 in
   let (), fuzz_s = fuzz_probe ~seed ~trials:fuzz_trials in
-  let module Campaign = Rio_fault.Campaign in
-  let trial_iters = 8 in
-  let (), trial_s =
-    time (fun () ->
-        for i = 1 to trial_iters do
-          ignore
-            (Campaign.run_one Campaign.default_config Campaign.Rio_with_protection
-               Rio_fault.Fault_type.Kernel_heap ~seed:(seed + i)
-              : Campaign.outcome)
-        done)
-  in
   let per denom v = v /. float_of_int denom in
   let ips instrs s = float_of_int instrs /. s in
   let cpu_fast_ips = ips cpu_fast_instrs cpu_fast_s in
@@ -1255,43 +1064,21 @@ let run_microbench seed json reference _verbose =
   Printf.printf "cpu (reference)   %10.0f instr/s  (%.1f ns/instr)\n" cpu_ref_ips
     (1e9 /. cpu_ref_ips);
   Printf.printf "cpu speedup       %10.2fx\n" (cpu_fast_ips /. cpu_ref_ips);
-  Printf.printf "world build       %10.1f ms\n" (per world_iters world_s *. 1e3);
-  Printf.printf "  boot / format / mount / seed-files: %.1f / %.1f / %.1f / %.1f ms\n"
-    (per world_iters detail.(0) *. 1e3)
-    (per world_iters detail.(1) *. 1e3)
-    (per world_iters detail.(2) *. 1e3)
-    (per world_iters detail.(3) *. 1e3);
   Printf.printf "world restore     %10.3f ms  (%.1f dirty pages/restore)\n"
     (per restore_iters restore_s *. 1e3)
     (per restore_iters (float_of_int restore_pages));
-  Printf.printf "warm reboot       %10.1f ms\n" (per reboot_iters !reboot_s *. 1e3);
-  Printf.printf "memtest step      %10.3f ms\n" (per probe_steps memtest_s *. 1e3);
-  Printf.printf "andrew step (x2)  %10.3f ms\n" (per probe_steps andrew_s *. 1e3);
-  Printf.printf "kernel activity   %10.3f ms (per campaign step, x2)\n"
-    (per probe_steps activity_s *. 1e3);
   Printf.printf "fuzz crash trial  %10.1f ms  (%.0f ns/trial, %.1f trials/s)\n"
     (ns_per_trial /. 1e6) ns_per_trial
     (float_of_int fuzz_trials /. fuzz_s);
-  Printf.printf "campaign trial    %10.1f ms  (rio-prot, kernel-heap fault)\n"
-    (per trial_iters trial_s *. 1e3);
-  match json with
-  | None -> ()
-  | Some file ->
-    let oc =
-      try open_out file
-      with Sys_error msg ->
-        Printf.eprintf "riobench: cannot open --json output: %s\n%!" msg;
-        exit 1
-    in
-    let probe name extra wall_s =
-      (name, Json.Obj (extra @ [ ("wall_s", Json.Float wall_s) ]))
-    in
-    let doc =
-      Json.Obj
+  let probe name extra wall_s = (name, Json.Obj (extra @ [ ("wall_s", Json.Float wall_s) ])) in
+  Option.iter
+    (fun out ->
+      write_json_doc out
+        ~header:
+          [
+            ("benchmark", Json.Str "microbench"); ("mode", Json.Str mode); ("seed", Json.Int seed);
+          ]
         [
-          ("benchmark", Json.Str "microbench");
-          ("mode", Json.Str mode);
-          ("seed", Json.Int seed);
           probe "cpu_fast"
             [
               ("instructions", Json.Int cpu_fast_instrs);
@@ -1307,32 +1094,15 @@ let run_microbench seed json reference _verbose =
             ]
             cpu_ref_s;
           ("cpu_speedup", Json.Float (cpu_fast_ips /. cpu_ref_ips));
-          probe "world_build"
-            [ ("iters", Json.Int world_iters);
-              ("ms_per_build", Json.Float (per world_iters world_s *. 1e3)) ]
-            world_s;
           probe "world_restore"
             [
               ("iters", Json.Int restore_iters);
               ("ms_per_restore", Json.Float (per restore_iters restore_s *. 1e3));
               ( "pages_per_restore",
                 Json.Float (per restore_iters (float_of_int restore_pages)) );
-              ( "restores_per_s",
-                Json.Float (float_of_int restore_iters /. restore_s) );
+              ("restores_per_s", Json.Float (float_of_int restore_iters /. restore_s));
             ]
             restore_s;
-          probe "warm_reboot"
-            [ ("iters", Json.Int reboot_iters);
-              ("ms_per_reboot", Json.Float (per reboot_iters !reboot_s *. 1e3)) ]
-            !reboot_s;
-          probe "workload_step"
-            [
-              ("steps", Json.Int probe_steps);
-              ("memtest_ms", Json.Float (per probe_steps memtest_s *. 1e3));
-              ("andrew_ms", Json.Float (per probe_steps andrew_s *. 1e3));
-              ("activity_ms", Json.Float (per probe_steps activity_s *. 1e3));
-            ]
-            (memtest_s +. andrew_s +. activity_s);
           probe "fuzz_trial"
             [
               ("trials", Json.Int fuzz_trials);
@@ -1340,25 +1110,16 @@ let run_microbench seed json reference _verbose =
               ("trials_per_s", Json.Float (float_of_int fuzz_trials /. fuzz_s));
             ]
             fuzz_s;
-          probe "campaign_trial"
-            [
-              ("iters", Json.Int trial_iters);
-              ("ms_per_trial", Json.Float (per trial_iters trial_s *. 1e3));
-            ]
-            trial_s;
-        ]
-    in
-    output_string oc (Json.pretty doc);
-    output_char oc '\n';
-    close_out oc;
-    Printf.eprintf "wrote %s\n%!" file
+        ])
+    json_out
 
 let microbench_cmd =
   let doc =
-    "Time the simulator's hot phases: the interpreted CPU loop (fast vs \
-     reference decode), a world build, a template snapshot restore, a warm \
-     reboot, and an end-to-end fuzz crash trial. Reports instr/s and \
-     ns/trial; --json writes the numbers for the perf-smoke CI gate."
+    "Time the simulator's hot paths the CI perf-smoke gate tracks: the \
+     interpreted CPU loop (fast vs reference decode), a template snapshot \
+     restore, and an end-to-end fuzz crash trial. Reports instr/s and \
+     ns/trial; --json writes the numbers the gate compares against \
+     BENCH_cpu.json. perfbench/ times the other phases."
   in
   Cmd.v (Cmd.info "microbench" ~doc)
     Term.(const run_microbench $ seed_arg $ json_arg $ reference_arg $ verbose_arg)
@@ -1366,7 +1127,7 @@ let microbench_cmd =
 (* ---------------- all ---------------- *)
 
 let run_all crashes scale seed jobs verbose =
-  run_table1 crashes seed jobs None None false None None false verbose;
+  run_table1 crashes seed jobs None None false None false verbose;
   print_newline ();
   run_table2 scale seed jobs Rio_disk.Backend.Scsi verbose;
   print_newline ();
@@ -1383,7 +1144,7 @@ let main_cmd =
   let info = Cmd.info "riobench" ~version:"1.0" ~doc in
   Cmd.group info
     [
-      table1_cmd; table2_cmd; mttf_cmd; ablation_cmd; messages_cmd; trace_cmd;
+      table1_cmd; table2_cmd; ablation_cmd; messages_cmd; trace_cmd;
       workloads_cmd; vista_cmd; check_cmd; fuzz_cmd; cov_cmd; microbench_cmd; all_cmd;
     ]
 

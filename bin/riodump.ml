@@ -7,17 +7,15 @@
    their checksums. *)
 
 module Engine = Rio_sim.Engine
-module Costs = Rio_sim.Costs
 module Kernel = Rio_kernel.Kernel
 module Kcrash = Rio_kernel.Kcrash
-module Fs = Rio_fs.Fs
+module World = Rio_world.World
 module Layout = Rio_mem.Layout
 module Phys_mem = Rio_mem.Phys_mem
 module Disasm = Rio_cpu.Disasm
 module Asm = Rio_kasm.Asm
 module Kprogs = Rio_kasm.Kprogs
 module Registry = Rio_core.Registry
-module Rio_cache = Rio_core.Rio_cache
 module Warm_reboot = Rio_core.Warm_reboot
 module Injector = Rio_fault.Injector
 module Fault_type = Rio_fault.Fault_type
@@ -35,14 +33,8 @@ let run fault_name seed protection =
       List.iter (fun f -> Printf.eprintf "  %s\n" (Fault_type.name f)) Fault_type.all;
       exit 2
   in
-  let engine = Engine.create () in
-  let kernel = Kernel.boot ~engine ~costs:Costs.default (Kernel.config_with_seed seed) in
-  Kernel.format kernel;
-  ignore
-    (Rio_cache.create ~mem:(Kernel.mem kernel) ~layout:(Kernel.layout kernel)
-       ~mmu:(Kernel.mmu kernel) ~engine ~costs:Costs.default ~hooks:(Kernel.hooks kernel)
-       ~pool_alloc:(Kernel.pool_alloc kernel) ~protection ~dev:1 ());
-  let fs = Kernel.mount kernel ~policy:Fs.Rio_policy in
+  let world = World.create ~protection ~seed () in
+  let engine = World.engine world and kernel = World.kernel world and fs = World.fs world in
   let layout = Kernel.layout kernel in
   let text = Layout.region layout Layout.Kernel_text in
   let program = (Kernel.kprogs kernel).Kprogs.program in

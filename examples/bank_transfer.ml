@@ -10,12 +10,8 @@
 
    Run with: dune exec examples/bank_transfer.exe *)
 
-module Engine = Rio_sim.Engine
-module Costs = Rio_sim.Costs
-module Kernel = Rio_kernel.Kernel
 module Fs = Rio_fs.Fs
-module Rio_cache = Rio_core.Rio_cache
-module Warm_reboot = Rio_core.Warm_reboot
+module World = Rio_world.World
 module Vista = Rio_txn.Vista
 
 let say fmt = Printf.printf (fmt ^^ "\n%!")
@@ -39,14 +35,8 @@ let print_balances store =
 
 let () =
   say "== A bank on Vista: free transactions over the Rio file cache ==";
-  let engine = Engine.create () in
-  let kernel = Kernel.boot ~engine ~costs:Costs.default (Kernel.config_with_seed 7) in
-  Kernel.format kernel;
-  ignore
-    (Rio_cache.create ~mem:(Kernel.mem kernel) ~layout:(Kernel.layout kernel)
-       ~mmu:(Kernel.mmu kernel) ~engine ~costs:Costs.default ~hooks:(Kernel.hooks kernel)
-       ~pool_alloc:(Kernel.pool_alloc kernel) ~protection:true ~dev:1 ());
-  let fs = Kernel.mount kernel ~policy:Fs.Rio_policy in
+  let world = World.create ~seed:7 () in
+  let fs = World.fs world in
   let store = Vista.create fs ~path:"/bank" ~size:4096 in
 
   say "";
@@ -75,24 +65,7 @@ let () =
 
   say "";
   say "4. Warm reboot, then Vista recovery rolls the half-done transfer back.";
-  let fs_ref = ref None in
-  ignore
-    (Warm_reboot.perform ~mem:(Kernel.mem kernel) ~disk:(Kernel.disk kernel)
-       ~layout:(Kernel.layout kernel) ~engine
-       ~reboot:(fun () ->
-         let kernel2 =
-           Kernel.boot_warm ~engine ~costs:Costs.default (Kernel.config_with_seed 7)
-             ~mem:(Kernel.mem kernel) ~disk:(Kernel.disk kernel)
-         in
-         ignore
-           (Rio_cache.create ~mem:(Kernel.mem kernel2) ~layout:(Kernel.layout kernel2)
-              ~mmu:(Kernel.mmu kernel2) ~engine ~costs:Costs.default
-              ~hooks:(Kernel.hooks kernel2) ~pool_alloc:(Kernel.pool_alloc kernel2)
-              ~protection:true ~dev:1 ());
-         let fs2 = Kernel.mount kernel2 ~policy:Fs.Rio_policy in
-         fs_ref := Some fs2;
-         fs2));
-  let fs2 = Option.get !fs_ref in
+  let _, fs2 = World.warm_reboot world in
   let rolled = Vista.recover fs2 ~path:"/bank" in
   say "   -> %d undo record(s) applied" rolled;
   let store2 = Vista.open_existing fs2 ~path:"/bank" in

@@ -12,11 +12,8 @@
    Run with: dune exec examples/database_commit.exe *)
 
 module Engine = Rio_sim.Engine
-module Costs = Rio_sim.Costs
-module Kernel = Rio_kernel.Kernel
 module Fs = Rio_fs.Fs
-module Rio_cache = Rio_core.Rio_cache
-module Units = Rio_util.Units
+module World = Rio_world.World
 module Prng = Rio_util.Prng
 
 let say fmt = Printf.printf (fmt ^^ "\n%!")
@@ -57,15 +54,8 @@ let transaction db prng =
   end
 
 let run_config label ~policy ~rio ~fsync_on_commit ~transactions =
-  let engine = Engine.create () in
-  let kernel = Kernel.boot ~engine ~costs:Costs.default (Kernel.config_with_seed 17) in
-  Kernel.format kernel;
-  if rio then
-    ignore
-      (Rio_cache.create ~mem:(Kernel.mem kernel) ~layout:(Kernel.layout kernel)
-         ~mmu:(Kernel.mmu kernel) ~engine ~costs:Costs.default ~hooks:(Kernel.hooks kernel)
-         ~pool_alloc:(Kernel.pool_alloc kernel) ~protection:true ~dev:1 ());
-  let fs = Kernel.mount kernel ~policy in
+  let world = World.create ~rio ~policy ~seed:17 () in
+  let engine = World.engine world and fs = World.fs world in
   Fs.mkdir fs "/db";
   let db = open_db fs ~fsync_on_commit in
   let prng = Prng.create ~seed:99 in

@@ -4,33 +4,21 @@
    Run with: dune exec examples/quickstart.exe *)
 
 module Engine = Rio_sim.Engine
-module Costs = Rio_sim.Costs
-module Kernel = Rio_kernel.Kernel
 module Fs = Rio_fs.Fs
 module Rio_cache = Rio_core.Rio_cache
 module Warm_reboot = Rio_core.Warm_reboot
+module World = Rio_world.World
 module Units = Rio_util.Units
 
 let say fmt = Printf.printf (fmt ^^ "\n%!")
 
-(* Wire up a complete machine: simulated memory + MMU + CPU + disk, the
-   kernel model, the Rio cache (registry + protection + checksums), and a
-   file system mounted with the Rio policy (no reliability disk writes). *)
-let build_rio_system ~seed =
-  let engine = Engine.create () in
-  let kernel = Kernel.boot ~engine ~costs:Costs.default (Kernel.config_with_seed seed) in
-  Kernel.format kernel;
-  let rio =
-    Rio_cache.create ~mem:(Kernel.mem kernel) ~layout:(Kernel.layout kernel)
-      ~mmu:(Kernel.mmu kernel) ~engine ~costs:Costs.default ~hooks:(Kernel.hooks kernel)
-      ~pool_alloc:(Kernel.pool_alloc kernel) ~protection:true ~dev:1 ()
-  in
-  let fs = Kernel.mount kernel ~policy:Fs.Rio_policy in
-  (engine, kernel, rio, fs)
-
 let () =
   say "== Rio quickstart ==";
-  let engine, kernel, rio, fs = build_rio_system ~seed:42 in
+  (* A complete machine: simulated memory + MMU + CPU + disk, the kernel
+     model, the Rio cache (registry + protection + checksums), and a file
+     system mounted with the Rio policy (no reliability disk writes). *)
+  let world = World.create ~seed:42 () in
+  let fs = World.fs world in
 
   say "";
   say "1. Write files through the normal API. With the Rio policy there are";
@@ -40,10 +28,10 @@ let () =
   Fs.write_file fs "/home/paper.tex" (Bytes.of_string "\\title{The Rio File Cache}");
   let big = Rio_util.Pattern.fill ~seed:7 ~len:100_000 in
   Fs.write_file fs "/home/dataset.bin" big;
-  let disk_writes = (Rio_disk.Disk.stats (Kernel.disk kernel)).Rio_disk.Disk.writes in
+  let disk_writes = (Rio_disk.Disk.stats (World.disk world)).Rio_disk.Disk.writes in
   say "   -> wrote 2 files; disk writes so far: %d" disk_writes;
 
-  let stats = Rio_cache.stats rio in
+  let stats = Rio_cache.stats (World.rio world) in
   say "   -> registry tracks %d file-cache pages (40 bytes each, protected)"
     stats.Rio_cache.registered_pages;
 
@@ -51,30 +39,14 @@ let () =
   say "2. Crash the operating system. No sync, no fsync, nothing: the sole";
   say "   copy of the data is in memory.";
   Fs.crash fs;
-  say "   -> crashed at t=%s" (Format.asprintf "%a" Units.pp_usec (Engine.now engine));
+  say "   -> crashed at t=%s"
+    (Format.asprintf "%a" Units.pp_usec (Engine.now (World.engine world)));
 
   say "";
   say "3. Warm reboot (the paper's 2-step §2.2): dump memory to swap, restore";
   say "   metadata to disk from the registry, fsck, remount, then replay the";
   say "   file data through normal write calls.";
-  let fs_after = ref None in
-  let report =
-    Warm_reboot.perform ~mem:(Kernel.mem kernel) ~disk:(Kernel.disk kernel)
-      ~layout:(Kernel.layout kernel) ~engine
-      ~reboot:(fun () ->
-        let kernel2 =
-          Kernel.boot_warm ~engine ~costs:Costs.default (Kernel.config_with_seed 42)
-            ~mem:(Kernel.mem kernel) ~disk:(Kernel.disk kernel)
-        in
-        ignore
-          (Rio_cache.create ~mem:(Kernel.mem kernel2) ~layout:(Kernel.layout kernel2)
-             ~mmu:(Kernel.mmu kernel2) ~engine ~costs:Costs.default
-             ~hooks:(Kernel.hooks kernel2) ~pool_alloc:(Kernel.pool_alloc kernel2)
-             ~protection:true ~dev:1 ());
-        let fs2 = Kernel.mount kernel2 ~policy:Fs.Rio_policy in
-        fs_after := Some fs2;
-        fs2)
-  in
+  let report, fs2 = World.warm_reboot world in
   say "   -> %d registry entries recovered (%d corrupt slots)" report.Warm_reboot.registry_entries
     report.Warm_reboot.corrupt_registry_slots;
   say "   -> %d metadata buffers written to disk, %d data buffers replayed"
@@ -91,7 +63,6 @@ let () =
 
   say "";
   say "4. Verify every byte survived.";
-  let fs2 = Option.get !fs_after in
   let tex = Fs.read_file fs2 "/home/paper.tex" in
   let bin = Fs.read_file fs2 "/home/dataset.bin" in
   say "   -> /home/paper.tex   : %s"

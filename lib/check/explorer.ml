@@ -91,7 +91,7 @@ type trial = {
 let scenario_kind : unit Trial.kind = Trial.kind "scenario"
 
 (* Run a job's armed body on a rented world with the probe set to trip at
-   [trip] ([-1] = count only) and — if the probe fired — audit the warm
+   [trip] ([-1] = count only) and — if the probe fired — audit the
    recovery with [check]. Every trial is a pure function of (spec, seed,
    scenario, trip), which is what lets the schedule shard across
    domains. *)
@@ -101,7 +101,7 @@ let trial ?(crasher = fun () -> None) r ~trip ~check body =
   if not crashed then { trial_labels; outcome = Completed; crasher = None }
   else
     let crasher = crasher () in
-    { trial_labels; outcome = Crashed (Trial.audit r ~cold:false ~check); crasher }
+    { trial_labels; outcome = Crashed (Trial.audit r ~check); crasher }
 
 let run_trial ?obs ~spec ~seed (scenario : Scenario.t) ~trip =
   Trial.run ?obs ~spec ~seed ~kind:scenario_kind ~key:scenario.Scenario.slug
@@ -169,6 +169,12 @@ let run_job ?obs ~spec ~seed job ~trip =
   | Multi (m, _, sched_seed) -> run_trial_multi ?obs ~spec ~seed ~sched_seed m ~trip
 
 let run ?(spec = rio_prot) ?only ?(interleave = 0) (cfg : Run.config) =
+  (* Scenario checks are written against the warm-reboot contract. *)
+  if spec.cold then
+    invalid_arg
+      (Printf.sprintf
+         "Explorer.run: %s is a cold-recovery spec; crash-schedule checks audit warm recovery only"
+         spec.label);
   let scenarios = resolve_scenarios only in
   let jobs =
     List.map (fun sc -> Single sc) scenarios
@@ -347,12 +353,13 @@ let report_json r =
 
 type matrix_entry = { entry_report : report; ok : bool }
 
+let report_ok r = (violation_count r = 0) = r.spec.expect_safe
+
 let run_matrix ?(specs = matrix_specs) ?only (cfg : Run.config) =
   List.map
     (fun spec ->
       let entry_report = run ~spec ?only cfg in
-      let safe = violation_count entry_report = 0 in
-      { entry_report; ok = safe = spec.expect_safe })
+      { entry_report; ok = report_ok entry_report })
     specs
 
 let matrix_ok entries = List.for_all (fun e -> e.ok) entries

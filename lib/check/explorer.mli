@@ -84,7 +84,8 @@ val run :
 (** Explore every crash point of every scenario (or just the [only]
     slugs). Uses [config.seed], [config.domains], and [config.coverage];
     [trials] and [scale] are ignored — the schedule is exhaustive, not
-    sampled. Raises [Invalid_argument] on an unknown slug.
+    sampled. Raises [Invalid_argument] on an unknown slug, and on a
+    [cold] spec: the scenario checks audit warm recovery only.
 
     With [interleave = n > 0], each multi-task scenario
     ({!Scenario.multis}) additionally contributes [n] jobs — one per
@@ -116,9 +117,13 @@ val report_json : report -> Rio_util.Json.t
     counterexamples, totals, coverage when collected). Deterministic:
     byte-identical at any [domains]. *)
 
+val report_ok : report -> bool
+(** The pass/fail verdict: a safe spec ([expect_safe]) found no
+    violation, an unsafe one found at least one. *)
+
 type matrix_entry = {
   entry_report : report;
-  ok : bool;  (** The verdict matched the spec's [expect_safe]. *)
+  ok : bool;  (** {!report_ok}. *)
 }
 
 val run_matrix :

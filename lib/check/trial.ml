@@ -20,7 +20,7 @@ type 'p kind = { name : string; id : 'p Type.Id.t }
 
 let kind name = { name; id = Type.Id.make () }
 
-type 'p t = { world : World.t; probe : Boundary.t; payload : 'p }
+type 'p t = { world : World.t; probe : Boundary.t; payload : 'p; spec : spec }
 
 let build ~obs ~spec ~seed ~setup =
   let world =
@@ -30,7 +30,7 @@ let build ~obs ~spec ~seed ~setup =
   let probe = Boundary.create ~mem:(World.mem world) ~obs () in
   Boundary.instrument_hooks probe (World.hooks world);
   Boundary.instrument_disk probe (World.disk world);
-  { world; probe; payload = setup world }
+  { world; probe; payload = setup world; spec }
 
 (* ---------------- the template cache ---------------- *)
 
@@ -85,7 +85,9 @@ let rent (type p) ~spec ~seed ~(kind : p kind) ~key ~setup : p t =
       r
   in
   ignore (World.restore r.world : int);
-  r
+  (* The cache key leaves out [cold]: the recovery mode is the caller's
+     spec, not the template's. *)
+  { r with spec }
 
 let run ?(obs = Trace.null) ~spec ~seed ~kind ~key ~setup body =
   if (not (Trace.enabled obs)) && Rio_util.Fastpath.on () then
@@ -107,11 +109,11 @@ let armed r ~trip f =
     ~finally:(fun () -> Boundary.disarm r.probe)
     (fun () -> match f () with () -> false | exception Boundary.Crash_here -> true)
 
-let audit r ~cold ~check =
+let audit r ~check =
   let w = r.world in
   assert (Boundary.has_crash_image r.probe);
   Fs.crash (World.fs w);
-  if cold then begin
+  if r.spec.cold then begin
     (* Memory is LOST: drop the capture instead of restoring it. Only the
        committed disk survives; fsck repairs it and a fresh kernel boots
        on it. *)

@@ -32,10 +32,10 @@ type spec = {
   backend : Rio_disk.Backend.kind;  (** Persistence backend under the world. *)
   wb_unordered : bool;  (** Plant the write-behind ordering bug. *)
   cold : bool;
-      (** Audit crashes with {e cold} recovery (fsck + remount, no warm
-          reboot) against the sync-durability contract. Single-task
-          fuzzer only; the explorer's scenario checks and the multi-task
-          audits assume the warm path. *)
+      (** Recover crashes {e cold} (fsck + remount, no warm reboot) and
+          audit them against the sync-durability contract. Single-task
+          fuzzer only: the explorer and the multi-task fuzzer raise
+          [Invalid_argument] on a cold spec. *)
   expect_safe : bool;  (** What the matrix asserts about this config. *)
 }
 
@@ -51,6 +51,7 @@ type 'p t = {
   world : Rio_world.World.t;
   probe : Boundary.t;  (** Attached to the world's hooks and disk. *)
   payload : 'p;
+  spec : spec;  (** The spec passed to {!run}: {!audit} recovers as it says. *)
 }
 
 val run :
@@ -74,12 +75,12 @@ val armed : 'p t -> trip:int -> (unit -> unit) -> bool
     it crashed there ({!Boundary.Crash_here}). The probe is disarmed on
     every exit; any other exception propagates. *)
 
-val audit : 'p t -> cold:bool -> check:(Rio_fs.Fs.t -> string list) -> string list
+val audit : 'p t -> check:(Rio_fs.Fs.t -> string list) -> string list
 (** The crash cycle, after {!armed} returned [true]: crash the file
-    system, then recover and run [check] on the remounted file system.
-    Warm ([cold = false]): restore the captured crash image over memory
-    and warm-reboot on it. Cold: drop the image (memory is lost), fsck
-    the disk, and cold-reboot unless fsck reports it unrecoverable; an
-    unrecoverable or unmountable image audits clean (the cold contract
-    forgives structural loss). A [check] that raises
+    system, then recover the way the trial's spec says and run [check]
+    on the remounted file system. Warm: restore the captured crash image
+    over memory and warm-reboot on it. Cold: drop the image (memory is
+    lost), fsck the disk, and cold-reboot unless fsck reports it
+    unrecoverable; an unrecoverable or unmountable image audits clean
+    (the cold contract forgives structural loss). A [check] that raises
     [Rio_fs.Fs_types.Fs_error] is reported as one problem. *)

@@ -192,19 +192,23 @@ let flush_dirty ?via t ~sync ?(only = fun _ -> true) () =
      pass, so a clean cache must not pay a full-table walk. *)
   if t.ndirty = 0 then 0
   else begin
-    let before = t.ndirty in
     let flushed = ref 0 in
     let dirty = ref [] in
     Hashtbl.iter (fun _ e -> if e.dirty && only e then dirty := e :: !dirty) t.table;
     (* Deterministic order: by block number. *)
     let sorted = List.sort (fun a b -> compare a.blkno b.blkno) !dirty in
+    (* A synchronous write-back waits on the disk, and due engine events
+       run during the wait: the update daemon can re-enter this function
+       on the same cache and clean entries still in [sorted]. Write back
+       only what is still dirty when its turn comes. *)
     List.iter
       (fun e ->
-        write_back ?via t e ~sync;
-        incr flushed)
+        if e.dirty then begin
+          write_back ?via t e ~sync;
+          incr flushed
+        end)
       sorted;
-    (* Each write_back retired exactly one dirty entry from the count. *)
-    assert (t.ndirty = before - !flushed);
+    assert (List.for_all (fun e -> not e.dirty) sorted);
     !flushed
   end
 

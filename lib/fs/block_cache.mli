@@ -73,9 +73,12 @@ val write_back : ?via:(sector:int -> bytes -> unit) -> t -> entry -> sync:bool -
 val flush_dirty :
   ?via:(sector:int -> bytes -> unit) -> t -> sync:bool -> ?only:(entry -> bool) -> unit -> int
 (** Write back all dirty (matching) entries in block order; returns how
-    many. Returns without scanning the table when {!dirty_count} is zero.
-    [via] as in {!write_back}: asynchronous write-backs are staged into
-    the write-behind pipeline instead of issued directly. *)
+    many this call wrote. Returns without scanning the table when
+    {!dirty_count} is zero. A flush that runs during one of this call's
+    synchronous disk waits (an engine event) may clean selected entries
+    first; those are not written again. [via] as in {!write_back}:
+    asynchronous write-backs are staged into the write-behind pipeline
+    instead of issued directly. *)
 
 val invalidate : t -> blkno:int -> unit
 (** Drop a block (deleted file), freeing its page without write-back. *)

@@ -1347,11 +1347,11 @@ let restore t ck =
 
 (* ---------------- the uniform syscall entry ---------------- *)
 
-(* One decoded representation of the whole syscall surface. The checker,
-   the fuzzer, and the task scheduler all dispatch through [Syscall.run],
+(* One decoded representation of the whole syscall surface. The task
+   scheduler and the workload interpreter dispatch through [Syscall.run],
    so "what operation is this, does it mutate, what is it called" is
-   answered in exactly one place; the per-op functions below the module
-   are kept as thin compatibility wrappers over it. *)
+   answered in exactly one place; [run] calls the per-op functions above,
+   which direct callers use as they are. *)
 
 module Syscall = struct
   type call =
@@ -1492,31 +1492,3 @@ module Syscall = struct
   let bool_exn = function Bool b -> b | _ -> err "Syscall: expected a bool result"
   let path_exn = function Path p -> p | _ -> err "Syscall: expected a path result"
 end
-
-(* Compatibility wrappers: the historical per-op surface, now one decoded
-   dispatch away from [Syscall.run]. *)
-
-let create t path = Syscall.(fd_exn (run t (Creat path)))
-let open_file t path = Syscall.(fd_exn (run t (Open path)))
-let close t fd = ignore (Syscall.run t (Syscall.Close fd))
-let read t fd ~len = Syscall.(data_exn (run t (Read { fd; len })))
-let write t fd data = ignore (Syscall.run t (Syscall.Write { fd; data }))
-let pread t fd ~offset ~len = Syscall.(data_exn (run t (Pread { fd; offset; len })))
-let pwrite t fd ~offset data = ignore (Syscall.run t (Syscall.Pwrite { fd; offset; data }))
-let seek t fd pos = ignore (Syscall.run t (Syscall.Seek (fd, pos)))
-let fsync t fd = ignore (Syscall.run t (Syscall.Fsync fd))
-let mkdir t path = ignore (Syscall.run t (Syscall.Mkdir path))
-let rmdir t path = ignore (Syscall.run t (Syscall.Rmdir path))
-let link t existing path = ignore (Syscall.run t (Syscall.Link { existing; path }))
-let unlink t path = ignore (Syscall.run t (Syscall.Unlink path))
-let rename t src dst = ignore (Syscall.run t (Syscall.Rename { src; dst }))
-let readdir t path = Syscall.(names_exn (run t (Readdir path)))
-let stat t path = Syscall.(stat_exn (run t (Stat path)))
-let lstat t path = Syscall.(stat_exn (run t (Lstat path)))
-let exists t path = Syscall.(bool_exn (run t (Exists path)))
-let symlink t ~target path = ignore (Syscall.run t (Syscall.Symlink { target; path }))
-let readlink t path = Syscall.(path_exn (run t (Readlink path)))
-let truncate t path new_size = ignore (Syscall.run t (Syscall.Truncate (path, new_size)))
-let read_file t path = Syscall.(data_exn (run t (Read_file path)))
-let write_file t path data = ignore (Syscall.run t (Syscall.Write_file { path; data }))
-let sync t = ignore (Syscall.run t Syscall.Sync)

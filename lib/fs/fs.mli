@@ -237,10 +237,9 @@ val restore : t -> checkpoint -> unit
 
 (** {1 The uniform syscall entry}
 
-    One decoded representation of the syscall surface. The crash-schedule
-    checker, the fuzzer, and the task scheduler all dispatch through
-    {!Syscall.run}; the per-op functions above are thin compatibility
-    wrappers over it. *)
+    One decoded representation of the syscall surface. The task scheduler
+    and the workload interpreter dispatch through {!Syscall.run}, which
+    executes a call with the per-op function of the same name above. *)
 
 module Syscall : sig
   type call =
@@ -286,7 +285,8 @@ module Syscall : sig
       layer takes the ownership lock exactly for mutating calls. *)
 
   val run : t -> call -> result
-  (** Decode and execute. Raises {!Fs_types.Fs_error} like the wrappers. *)
+  (** Decode and execute. Raises {!Fs_types.Fs_error} like the per-op
+      functions. *)
 
   (** Result projections; raise {!Fs_types.Fs_error} on a shape mismatch. *)
 

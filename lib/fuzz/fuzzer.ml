@@ -80,9 +80,7 @@ let run_attempt ?obs ~(spec : Explorer.spec) ~seed ~ops ~trip () =
        ({!Program.check_cold}): data a completed [Sync] pushed out must
        read back exact. *)
     let check = if spec.Explorer.cold then Program.check_cold else Program.check in
-    let problems =
-      Trial.audit r ~cold:spec.Explorer.cold ~check:(fun fs -> check fs ~ops ~in_flight:k)
-    in
+    let problems = Trial.audit r ~check:(fun fs -> check fs ~ops ~in_flight:k) in
     { boundaries = total; labels; op_starts; crashed_during = Some k; tripped; problems }
   end
 
@@ -468,19 +466,19 @@ type matrix_entry = { entry_report : report; ok : bool }
    shrunk to a handful of ops — a catch nobody can read is not evidence. *)
 let max_repro_ops = 6
 
+let report_ok r =
+  if r.spec.Explorer.expect_safe then r.violations = 0
+  else
+    r.violations > 0
+    && List.exists
+         (fun c -> List.length c.ops <= max_repro_ops && c.problems <> [])
+         r.counterexamples
+
 let run_matrix ?(specs = Explorer.fuzz_specs) ?max_ops ?shrink_limit (cfg : Run.config) =
   List.map
-    (fun (spec : Explorer.spec) ->
+    (fun spec ->
       let entry_report = run ~spec ?max_ops ?shrink_limit cfg in
-      let ok =
-        if spec.Explorer.expect_safe then entry_report.violations = 0
-        else
-          entry_report.violations > 0
-          && List.exists
-               (fun c -> List.length c.ops <= max_repro_ops && c.problems <> [])
-               entry_report.counterexamples
-      in
-      { entry_report; ok })
+      { entry_report; ok = report_ok entry_report })
     specs
 
 let matrix_ok entries = List.for_all (fun e -> e.ok) entries
@@ -555,6 +553,13 @@ let setup_tasks ~tasks w =
 
 let run_attempt_tasks ?obs ~(spec : Explorer.spec) ~locking ~seed ~sched_seed
     ~(progs : Gen.op list array) ~trip () =
+  (* The per-task audit is written against the warm-reboot contract. *)
+  if spec.Explorer.cold then
+    invalid_arg
+      (Printf.sprintf
+         "Fuzzer.run_attempt_tasks: %s is a cold-recovery spec; multi-task trials audit warm \
+          recovery only"
+         spec.Explorer.label);
   (* Pre-validate against the model: sub-programs the shrinker builds can
      be self-inconsistent, and catching that here costs no world rental. *)
   Array.iteri
@@ -665,10 +670,8 @@ let run_attempt_tasks ?obs ~(spec : Explorer.spec) ~locking ~seed ~sched_seed
       end
   end
   else
-    (* Multi-task audits are warm, whatever the spec says. *)
     let problems =
-      Trial.audit r ~cold:false ~check:(fun fs2 ->
-          Program.check_tasks fs2 ~progs ~progress:t_progress)
+      Trial.audit r ~check:(fun fs2 -> Program.check_tasks fs2 ~progs ~progress:t_progress)
     in
     { base with t_problems = problems }
 
@@ -1078,15 +1081,17 @@ let treport_json r =
      ]
     @ match r.tr_coverage with Some cov -> [ ("coverage", Cov.to_json cov) ] | None -> [])
 
-(* The multi-task acceptance bar, mirroring [run_matrix]: with locking the
+(* The multi-task acceptance bar, mirroring [report_ok]: with locking the
    campaign must be clean; without it (the lost-update ablation) it must
    be caught with a readable repro — at most [max_repro_ops] total ops
    over at most two non-empty tasks. *)
-let tasks_caught r =
-  r.tr_violations > 0
-  && List.exists
-       (fun c ->
-         total_ops c.tc_progs <= max_repro_ops
-         && nonempty_tasks c.tc_progs <= 2
-         && c.tc_problems <> [])
-       r.tr_counterexamples
+let treport_ok r =
+  if r.tr_locking then r.tr_violations = 0
+  else
+    r.tr_violations > 0
+    && List.exists
+         (fun c ->
+           total_ops c.tc_progs <= max_repro_ops
+           && nonempty_tasks c.tc_progs <= 2
+           && c.tc_problems <> [])
+         r.tr_counterexamples

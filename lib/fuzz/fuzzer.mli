@@ -117,11 +117,16 @@ val report_json : report -> Rio_util.Json.t
 
 (** {1 The ablation matrix} *)
 
-type matrix_entry = { entry_report : report; ok : bool }
-
 val max_repro_ops : int
 (** A caught ablation only counts if some counterexample shrank to at most
     this many ops (6) — the catch must come with a readable repro. *)
+
+val report_ok : report -> bool
+(** The pass/fail verdict: a safe spec ([expect_safe]) fuzzed clean; an
+    unsafe one was caught {e and} some counterexample shrank to at most
+    {!max_repro_ops} ops. *)
+
+type matrix_entry = { entry_report : report; ok : bool (** {!report_ok}. *) }
 
 val run_matrix :
   ?specs:Rio_check.Explorer.spec list ->
@@ -181,7 +186,8 @@ val run_attempt_tasks :
     task under the seeded scheduler, crash at boundary [trip] ([-1] =
     count only, with a final-state audit), warm-recover and audit per
     task. Raises {!Invalid_program} when some program is not
-    self-contained. *)
+    self-contained, and [Invalid_argument] on a [cold] spec: the per-task
+    audit checks warm recovery only. *)
 
 val total_ops : Rio_workload.Script.Gen.op list array -> int
 val nonempty_tasks : Rio_workload.Script.Gen.op list array -> int
@@ -238,13 +244,16 @@ val run_tasks :
 (** [config.trials] multi-task trials ([tasks] programs of
     [1..max_ops] ops each), seeded from [config.seed]. [config.coverage]
     turns on the coverage map — now with the task-role axis
-    (crasher/bystander) — and the unhit-class feedback loop. *)
+    (crasher/bystander) — and the unhit-class feedback loop. Raises
+    [Invalid_argument] on a [cold] spec (see {!run_attempt_tasks}). *)
 
 val render_tasks : treport -> string
 (** Deterministic plain text, byte-identical at any [domains]. *)
 
 val treport_json : treport -> Rio_util.Json.t
 
-val tasks_caught : treport -> bool
-(** The ablation acceptance bar: some counterexample shrank to at most
-    {!max_repro_ops} total ops over at most two non-empty tasks. *)
+val treport_ok : treport -> bool
+(** The multi-task pass/fail verdict: with locking the campaign fuzzed
+    clean; without it (the lost-update ablation) it was caught and some
+    counterexample shrank to at most {!max_repro_ops} total ops over at
+    most two non-empty tasks. *)

@@ -1,6 +1,5 @@
 module Engine = Rio_sim.Engine
 module Costs = Rio_sim.Costs
-module Layout = Rio_mem.Layout
 module Kernel = Rio_kernel.Kernel
 module Fs = Rio_fs.Fs
 module Fsck = Rio_fs.Fsck
@@ -18,15 +17,6 @@ module Pool = Rio_parallel.Pool
    1 (today's serial path) and merged results keep the sweep's
    presentation order, making parallel output byte-identical. *)
 
-(* The paper's measurement machine: 128 MB of memory over a 320 MB disk. *)
-let paper_machine ~seed =
-  {
-    Kernel.default_config with
-    Kernel.layout_config = Layout.paper_config;
-    disk_sectors = 640 * 1024;
-    seed;
-  }
-
 (* ---------------- protection overhead ---------------- *)
 
 type protection_result = {
@@ -39,7 +29,7 @@ type protection_result = {
 }
 
 let cp_rm_time ~protection ~scale ~seed =
-  let world = World.create ~config:(paper_machine ~seed) ~protection ~seed () in
+  let world = World.create ~config:(Performance.paper_machine ~seed) ~protection ~seed () in
   let engine = World.engine world and fs = World.fs world and rio = World.rio world in
   let w = Cp_rm.create ~total_bytes:(int_of_float (scale *. 40e6)) () in
   Cp_rm.setup w fs;
@@ -353,7 +343,9 @@ type disk_sensitivity = {
 let modern_disk_sensitivity ?(domains = 1) ~seed () =
   let cell (costs, label) =
     let run policy rio =
-      let world = World.create ~config:(paper_machine ~seed) ~costs ~rio ~policy ~seed () in
+      let world =
+        World.create ~config:(Performance.paper_machine ~seed) ~costs ~rio ~policy ~seed ()
+      in
       let engine = World.engine world and fs = World.fs world in
       let w = Cp_rm.create ~total_bytes:(int_of_float (0.15 *. 40e6)) () in
       Cp_rm.setup w fs;

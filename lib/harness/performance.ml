@@ -38,21 +38,22 @@ type measurement = {
   andrew_s : float;
 }
 
-(* A fresh paper-scale machine: 128 MB of memory, a disk big enough for the
-   40 MB tree twice plus swap covering memory. Built through the same
-   [World] path the campaign engines template; these cells measure
-   *simulated* time over minutes-long workloads, so there is nothing to
-   amortize — each one is a fresh build, recycled after the run. *)
+(* 128 MB of memory, and a disk big enough for the 40 MB tree twice plus
+   swap covering memory. *)
+let paper_machine ~seed =
+  {
+    Kernel.default_config with
+    Kernel.layout_config = Layout.paper_config;
+    disk_sectors = 640 * 1024 (* 320 MB *);
+    seed;
+  }
+
+(* A fresh paper-scale machine, built through the same [World] path the
+   campaign engines template; these cells measure *simulated* time over
+   minutes-long workloads, so there is nothing to amortize — each one is
+   a fresh build, recycled after the run. *)
 let fresh_system ?(backend = Rio_disk.Backend.Scsi) config ~seed =
-  let kcfg =
-    {
-      Kernel.default_config with
-      Kernel.layout_config = Layout.paper_config;
-      disk_sectors = 640 * 1024 (* 320 MB *);
-      seed;
-    }
-  in
-  World.create ~config:kcfg
+  World.create ~config:(paper_machine ~seed)
     ~rio:(config.rio_protection <> None)
     ~protection:(config.rio_protection = Some true)
     ~policy:config.policy ~backend ~seed ()

@@ -7,6 +7,12 @@
     leaves queued (the next command inherits the queue, as cp's writes slow
     rm down). *)
 
+val paper_machine : seed:int -> Rio_kernel.Kernel.config
+(** The paper's measurement machine (its DEC 3000/600): 128 MB of memory
+    over a 320 MB disk. Every Table 2 cell boots it, and so do the cp+rm
+    ablations ({!Ablation.protection_overhead} and the disk-speed
+    sensitivity). *)
+
 type configuration = {
   label : string;  (** Matches {!Paper_data.table2} labels. *)
   policy : Rio_fs.Fs.policy;

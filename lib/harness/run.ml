@@ -9,7 +9,6 @@ type config = {
   trace_dir : string option;
   coverage : bool;
   obs_capacity : int option;
-  obs_buckets : int array option;
   progress : Progress.t -> unit;
 }
 
@@ -23,63 +22,25 @@ let default =
     trace_dir = None;
     coverage = false;
     obs_capacity = None;
-    obs_buckets = None;
     progress = (fun (_ : Progress.t) -> ());
   }
 
-(* Clamp the observability knobs into Trace's supported ranges once, and
-   remember what was clamped so the CLI can tell the user. Pure in the
-   config, so every call site sees the same sanitized values. *)
+(* Clamp the trace-ring capacity into Trace's supported range, and
+   remember the clamp so the CLI can tell the user. Pure in the config, so
+   every call site sees the same sanitized value. *)
 let sanitize_obs cfg =
-  let warnings = ref [] in
-  let warn fmt = Printf.ksprintf (fun s -> warnings := s :: !warnings) fmt in
-  let capacity =
-    match cfg.obs_capacity with
-    | None -> Trace.default_capacity
-    | Some c ->
-      let c' = max 0 (min Trace.max_capacity c) in
-      if c' <> c then
-        warn "trace-ring capacity %d out of range, clamped to %d" c c';
-      c'
-  in
-  let buckets =
-    match cfg.obs_buckets with
-    | None -> None
-    | Some edges ->
-      let kept =
-        List.sort_uniq compare (List.filter (fun e -> e >= 0) (Array.to_list edges))
-      in
-      if List.length kept < Array.length edges then
-        warn
-          "histogram bucket edges: %d of %d kept (negatives and duplicates dropped, \
-           edges sorted)"
-          (List.length kept) (Array.length edges);
-      let kept =
-        if List.length kept > Trace.max_bucket_edges then begin
-          warn "histogram bucket edges truncated to %d" Trace.max_bucket_edges;
-          List.filteri (fun i _ -> i < Trace.max_bucket_edges) kept
-        end
-        else kept
-      in
-      (match kept with
-      | [] ->
-        warn "histogram bucket edges empty after sanitizing, ignored";
-        None
-      | kept -> Some (Array.of_list kept))
-  in
-  (capacity, buckets, List.rev !warnings)
+  match cfg.obs_capacity with
+  | None -> (Trace.default_capacity, [])
+  | Some c ->
+    let c' = max 0 (min Trace.max_capacity c) in
+    let warnings =
+      if c' = c then []
+      else [ Printf.sprintf "trace-ring capacity %d out of range, clamped to %d" c c' ]
+    in
+    (c', warnings)
 
-let obs_capacity cfg =
-  let c, _, _ = sanitize_obs cfg in
-  c
-
-let obs_buckets cfg =
-  let _, b, _ = sanitize_obs cfg in
-  b
-
-let obs_warnings cfg =
-  let _, _, w = sanitize_obs cfg in
-  w
+let obs_capacity cfg = fst (sanitize_obs cfg)
+let obs_warnings cfg = snd (sanitize_obs cfg)
 
 let recorder cfg () = Trace.create ~capacity:(obs_capacity cfg) ()
 

@@ -28,9 +28,6 @@
     - [obs_capacity] — trace-ring capacity override for recorders the
       campaign creates; out-of-range values are clamped into
       [\[0, Trace.max_capacity\]] (see {!obs_warnings}).
-    - [obs_buckets] — histogram bucket edges for metric rollups
-      ({!Rio_obs.Trace.snapshot_json}); sanitized (sorted, deduplicated,
-      truncated) with the clamps reported.
     - [progress] — per-cell progress callback (wrapped in a mutex sink
       when [domains > 1]). *)
 
@@ -43,36 +40,24 @@ type config = {
   trace_dir : string option;
   coverage : bool;
   obs_capacity : int option;
-  obs_buckets : int array option;
   progress : Progress.t -> unit;
 }
 
 val default : config
 (** [seed 1; trials 50; scale 1.0; domains 1; backend Scsi;
-    trace_dir None; coverage false; obs_capacity None; obs_buckets None;
-    progress ignore]. Build variations with functional update:
+    trace_dir None; coverage false; obs_capacity None; progress ignore].
+    Build variations with functional update:
     [{ Run.default with seed = 7; domains = 4 }]. *)
 
-(** {1 Observability knobs}
-
-    The trace-ring capacity and histogram bucket edges used to be
-    compile-time defaults; they now ride in the config, clamped into
-    supported ranges with every clamp reported. *)
+(** {1 Observability knob} *)
 
 val obs_capacity : config -> int
 (** The sanitized trace-ring capacity ({!Rio_obs.Trace.default_capacity}
     when unset, else clamped into [\[0, Trace.max_capacity\]]). *)
 
-val obs_buckets : config -> int array option
-(** The sanitized histogram bucket edges: sorted ascending, negatives
-    and duplicates dropped, truncated to
-    {!Rio_obs.Trace.max_bucket_edges}; [None] when unset or empty after
-    sanitizing. *)
-
 val obs_warnings : config -> string list
-(** Human-readable descriptions of every clamp {!obs_capacity} and
-    {!obs_buckets} applied — empty when the config was in range. CLIs
-    print these on stderr. *)
+(** A human-readable description of the clamp {!obs_capacity} applied —
+    empty when the config was in range. CLIs print it on stderr. *)
 
 val recorder : config -> unit -> Rio_obs.Trace.t
 (** A fresh live recorder sized by {!obs_capacity} — what campaigns use

@@ -93,7 +93,6 @@ let null =
 
 let default_capacity = 65536
 let max_capacity = 1 lsl 22
-let max_bucket_edges = 64
 
 let create ?(capacity = default_capacity) () =
   {
@@ -215,34 +214,7 @@ let merge_snapshots snaps =
     { counters = []; histograms = [] }
     snaps
 
-(* Counts per bucket for sorted [edges]: <= e1, (e1, e2], ..., > ek. *)
-let bucket_counts ~edges values =
-  let k = Array.length edges in
-  let counts = Array.make (k + 1) 0 in
-  Array.iter
-    (fun v ->
-      let rec find i = if i >= k || v <= edges.(i) then i else find (i + 1) in
-      let i = find 0 in
-      counts.(i) <- counts.(i) + 1)
-    values;
-  counts
-
-let snapshot_json ?bucket_edges s =
-  let buckets_json values =
-    match bucket_edges with
-    | None -> []
-    | Some edges ->
-      let counts = bucket_counts ~edges values in
-      let bucket i n =
-        Json.Obj
-          [
-            ( "le",
-              if i < Array.length edges then Json.Int edges.(i) else Json.Str "+inf" );
-            ("n", Json.Int n);
-          ]
-      in
-      [ ("buckets", Json.Arr (Array.to_list (Array.mapi bucket counts))) ]
-  in
+let snapshot_json s =
   let hist_json (name, values) =
     if Array.length values = 0 then (name, Json.Obj [ ("n", Json.Int 0) ])
     else
@@ -250,16 +222,15 @@ let snapshot_json ?bucket_edges s =
       let mn, mx = Rio_util.Stats.min_max fl in
       ( name,
         Json.Obj
-          ([
-             ("n", Json.Int (Array.length values));
-             ("min", Json.Float mn);
-             ("mean", Json.Float (Rio_util.Stats.mean fl));
-             ("p50", Json.Float (Rio_util.Stats.percentile fl 50.));
-             ("p90", Json.Float (Rio_util.Stats.percentile fl 90.));
-             ("p99", Json.Float (Rio_util.Stats.percentile fl 99.));
-             ("max", Json.Float mx);
-           ]
-          @ buckets_json values) )
+          [
+            ("n", Json.Int (Array.length values));
+            ("min", Json.Float mn);
+            ("mean", Json.Float (Rio_util.Stats.mean fl));
+            ("p50", Json.Float (Rio_util.Stats.percentile fl 50.));
+            ("p90", Json.Float (Rio_util.Stats.percentile fl 90.));
+            ("p99", Json.Float (Rio_util.Stats.percentile fl 99.));
+            ("max", Json.Float mx);
+          ] )
   in
   Json.Obj
     [

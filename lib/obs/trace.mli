@@ -86,10 +86,6 @@ val max_capacity : int
     config layers ({!Rio_harness.Run}) clamp requests into
     [\[0, max_capacity\]] and report the clamp. *)
 
-val max_bucket_edges : int
-(** The most histogram bucket edges {!snapshot_json} accepts (64);
-    config layers truncate longer edge lists and report it. *)
-
 val create : ?capacity:int -> unit -> t
 (** A live recorder holding the most recent [capacity] (default
     {!default_capacity}) events. [capacity = 0] records no events
@@ -159,9 +155,6 @@ val merge_snapshots : snapshot list -> snapshot
     first-seen name order — merge per-trial snapshots in seed order for a
     deterministic campaign aggregate. *)
 
-val snapshot_json : ?bucket_edges:int array -> snapshot -> Rio_util.Json.t
+val snapshot_json : snapshot -> Rio_util.Json.t
 (** Counters verbatim; histograms summarized (n, min, mean, p50, p90,
-    p99, max). With [bucket_edges] (sorted ascending), each histogram
-    additionally carries cumulative-style bucket counts: observations
-    [<= e1], [(e1, e2]], ..., [> ek] — the campaign-configurable
-    replacement for the summary-only compile-time default. *)
+    p99, max). *)

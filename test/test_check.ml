@@ -104,6 +104,15 @@ let test_unknown_scenario_rejected () =
   | (_ : Explorer.report) -> Alcotest.fail "unknown slug accepted"
   | exception Invalid_argument _ -> ()
 
+(* The scenario checks audit warm recovery: a cold spec must be refused,
+   not silently audited warm. *)
+let test_cold_spec_rejected () =
+  match Explorer.run ~spec:Explorer.wb_order ~only:[ "creat" ] (cfg ~domains:1) with
+  | (_ : Explorer.report) -> Alcotest.fail "cold spec audited warm"
+  | exception Invalid_argument msg ->
+    check Alcotest.bool "the message names the spec" true
+      (String.starts_with ~prefix:"Explorer.run: wb-order " msg)
+
 let () =
   Alcotest.run "check"
     [
@@ -116,5 +125,6 @@ let () =
           Alcotest.test_case "registry-off is flagged" `Slow test_registry_off_flagged;
           Alcotest.test_case "matrix verdicts all hold" `Slow test_matrix_verdicts;
           Alcotest.test_case "unknown scenario slug rejected" `Quick test_unknown_scenario_rejected;
+          Alcotest.test_case "cold spec rejected" `Quick test_cold_spec_rejected;
         ] );
     ]

@@ -134,32 +134,7 @@ let test_obs_clamping () =
   check Alcotest.bool "clamp reported" true (Run.obs_warnings cfg <> []);
   let cfg = { Run.default with Run.obs_capacity = Some (-5) } in
   check Alcotest.int "negative capacity clamps to 0" 0 (Run.obs_capacity cfg);
-  let cfg = { Run.default with Run.obs_buckets = Some [| 5; 3; 3; -1 |] } in
-  (match Run.obs_buckets cfg with
-  | Some edges ->
-    check (Alcotest.array Alcotest.int) "edges sanitized" [| 3; 5 |] edges
-  | None -> Alcotest.fail "sanitized edges dropped entirely");
-  check Alcotest.bool "sanitizing reported" true (Run.obs_warnings cfg <> []);
-  let cfg = { Run.default with Run.obs_buckets = Some [| -1 |] } in
-  check Alcotest.bool "all-invalid edges -> None" true (Run.obs_buckets cfg = None);
   check Alcotest.bool "defaults are clean" true (Run.obs_warnings Run.default = [])
-
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
-let test_bucketed_snapshot_json () =
-  let obs = Trace.create ~capacity:0 () in
-  let h = Trace.histogram obs "lat" in
-  List.iter (Trace.observe h) [ 1; 5; 10; 50; 500 ];
-  let s = Json.to_string (Trace.snapshot_json ~bucket_edges:[| 10; 100 |] (Trace.snapshot obs)) in
-  (* <=10: three observations; (10,100]: one; >100: one. *)
-  List.iter
-    (fun fragment ->
-      if not (contains ~sub:fragment s) then
-        Alcotest.failf "snapshot JSON lacks %S in %s" fragment s)
-    [ "\"buckets\""; "\"le\""; "+inf" ]
 
 let () =
   Alcotest.run "cov"
@@ -183,8 +158,6 @@ let () =
         ] );
       ( "obs knobs",
         [
-          Alcotest.test_case "capacity and edges clamp with warnings" `Quick test_obs_clamping;
-          Alcotest.test_case "snapshot JSON carries bucket counts" `Quick
-            test_bucketed_snapshot_json;
+          Alcotest.test_case "capacity clamps with warnings" `Quick test_obs_clamping;
         ] );
     ]

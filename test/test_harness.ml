@@ -150,6 +150,14 @@ let test_measure_workload_cp_rm_split () =
   let cp, rm = Performance.measure_workload config ~scale:0.03 ~seed:1 `Cp_rm in
   check Alcotest.bool "both phases measured" true (cp > 0. && rm >= 0.)
 
+(* Write-through-on-close flushes synchronously at close, and the update
+   daemon's flush can run inside that flush's disk wait: the cell must
+   still complete. *)
+let test_wt_close_sdet_half_scale () =
+  let config = List.find (fun c -> c.Performance.label = "wt-close") Performance.configurations in
+  let sdet, _ = Performance.measure_workload config ~scale:0.5 ~seed:1 `Sdet in
+  check Alcotest.bool "sdet measured" true (sdet > 0.)
+
 (* ---------------- ablations (scaled down) ---------------- *)
 
 let test_protection_overhead_small () =
@@ -245,6 +253,7 @@ let () =
           Alcotest.test_case "rio vs write-through" `Slow
             test_performance_rio_beats_writethrough_on_sdet;
           Alcotest.test_case "cp/rm split" `Slow test_measure_workload_cp_rm_split;
+          Alcotest.test_case "wt-close sdet at half scale" `Slow test_wt_close_sdet_half_scale;
         ] );
       ( "ablation",
         [

@@ -136,11 +136,11 @@ let test_task_cwd_and_fd_isolation () =
     (Bytes.to_string (Fs.read_file fs "/b/f"));
   check (Alcotest.list Alcotest.int) "descriptor tables drained" [] (Task.open_fds ta)
 
-(* ---------------- syscall entry vs the wrappers ---------------- *)
+(* ---------------- syscall entry vs the per-op functions ---------------- *)
 
 let test_syscall_entry_matches_wrappers () =
   (* The decoded Fs.Syscall entry must be observationally identical to
-     the per-op wrappers it subsumed. *)
+     the per-op functions it dispatches to. *)
   let fs = make_fs () in
   let fd = Syscall.fd_exn (Syscall.run fs (Syscall.Creat "/a")) in
   ignore (Syscall.run fs (Syscall.Pwrite { fd; offset = 0; data = Bytes.of_string "hello" }));
@@ -164,7 +164,7 @@ let test_syscall_entry_matches_wrappers () =
 
 (* ---------------- block cache flush early-out ---------------- *)
 
-let test_flush_dirty_early_out () =
+let flush_fixture () =
   let engine = Engine.create () in
   let layout = Layout.create Layout.default_config in
   let mem = Phys_mem.create ~bytes_total:Layout.default_config.Layout.total_bytes in
@@ -176,6 +176,10 @@ let test_flush_dirty_early_out () =
       ~sector_of_blkno:(fun b -> 2048 + (b * Fs_types.sectors_per_block))
       ~backed:true
   in
+  (engine, disk, cache)
+
+let test_flush_dirty_early_out () =
+  let _, _, cache = flush_fixture () in
   (* Populate with clean entries: the early-out must not depend on the
      table being empty, only on nothing being dirty. *)
   for b = 0 to 7 do
@@ -196,9 +200,54 @@ let test_flush_dirty_early_out () =
   check Alcotest.int "dirty blocks flushed" 3 (Block_cache.flush_dirty cache ~sync:true ());
   check Alcotest.int "count retired exactly" 0 (Block_cache.dirty_count cache)
 
+(* A synchronous flush waits on the disk, and due engine events run during
+   the wait. Here one of them is a second flush of the same cache (as the
+   update daemon's pass can be under write-through-on-close): it cleans
+   blocks the outer flush selected but has not reached yet, and blocks
+   outside the outer filter. *)
+let test_flush_dirty_nested () =
+  let engine, disk, cache = flush_fixture () in
+  for b = 0 to 5 do
+    Block_cache.mark_dirty cache
+      (Block_cache.get cache ~blkno:b ~owner:Fs_types.Meta ~fill:Block_cache.Zero)
+  done;
+  let writes = Array.make 6 0 in
+  Disk.set_on_complete disk (fun ~sector ~count:_ ~write ->
+      if write then begin
+        let b = (sector - 2048) / Fs_types.sectors_per_block in
+        writes.(b) <- writes.(b) + 1
+      end);
+  (* Due during block 0's write: flush everything but the block in flight. *)
+  ignore
+    (Engine.schedule_at engine ~time:(Engine.now engine + 1) (fun _ ->
+         ignore
+           (Block_cache.flush_dirty cache ~sync:false
+              ~only:(fun e -> e.Block_cache.blkno <> 0)
+              ())));
+  let flushed =
+    Block_cache.flush_dirty cache ~sync:true ~only:(fun e -> e.Block_cache.blkno mod 2 = 0) ()
+  in
+  Disk.drain disk;
+  check Alcotest.int "the outer flush wrote only block 0" 1 flushed;
+  check (Alcotest.array Alcotest.int) "each dirty block written exactly once"
+    (Array.make 6 1) writes;
+  let in_table = ref 0 in
+  Block_cache.iter cache (fun e -> if e.Block_cache.dirty then incr in_table);
+  check Alcotest.int "dirty count matches the table" !in_table (Block_cache.dirty_count cache);
+  check Alcotest.int "nothing left dirty" 0 (Block_cache.dirty_count cache)
+
 (* ---------------- the interleaving campaigns ---------------- *)
 
 let tcfg ?(seed = 1) ?(trials = 5) ~domains () = { Run.default with Run.seed; trials; domains }
+
+(* The per-task audit checks warm recovery: a cold spec must be refused,
+   not silently audited warm. *)
+let test_cold_spec_rejected () =
+  match Fuzzer.run_tasks ~spec:Explorer.wb_cold ~tasks:2 (tcfg ~trials:1 ~domains:1 ()) with
+  | (_ : Fuzzer.treport) -> Alcotest.fail "cold spec audited warm"
+  | exception Invalid_argument msg ->
+    check Alcotest.bool "the message names the spec" true
+      (String.starts_with ~prefix:"Fuzzer.run_attempt_tasks: wb-cold " msg)
 
 let test_run_tasks_parallel_determinism () =
   (* lock-off so the pipeline exercises the multi-task shrinker and the
@@ -224,7 +273,7 @@ let test_lock_off_caught_and_shrunk () =
   let r = Fuzzer.run_tasks ~locking:false ~tasks:2 (tcfg ~trials:6 ~domains:2 ()) in
   if r.Fuzzer.tr_violations = 0 then
     Alcotest.fail "lock-off produced no violations: the ablation is invisible";
-  check Alcotest.bool "caught and shrunk to a small repro" true (Fuzzer.tasks_caught r);
+  check Alcotest.bool "caught and shrunk to a small repro" true (Fuzzer.treport_ok r);
   match r.Fuzzer.tr_counterexamples with
   | [] -> Alcotest.fail "violations were not shrunk"
   | c :: _ ->
@@ -262,6 +311,7 @@ let () =
           Alcotest.test_case "syscall entry = wrappers" `Quick
             test_syscall_entry_matches_wrappers;
           Alcotest.test_case "flush_dirty early-out" `Quick test_flush_dirty_early_out;
+          Alcotest.test_case "flush_dirty nested in a disk wait" `Quick test_flush_dirty_nested;
         ] );
       ( "campaigns",
         [
@@ -269,6 +319,7 @@ let () =
           Alcotest.test_case "rio-prot fuzzes clean" `Slow test_rio_prot_tasks_fuzz_clean;
           Alcotest.test_case "lock-off caught and shrunk" `Slow
             test_lock_off_caught_and_shrunk;
+          Alcotest.test_case "cold spec rejected" `Quick test_cold_spec_rejected;
           Alcotest.test_case "explorer interleave determinism" `Slow
             test_explorer_interleave_determinism;
         ] );
