@@ -743,10 +743,11 @@ let run_fuzz trials max_ops seed jobs backend config tasks matrix json coverage 
     let locking = config <> "lock-off" in
     let spec = if locking then find_spec config ~cmd:"fuzz" else Explorer.rio_prot in
     let spec = { spec with Explorer.backend } in
-    Printf.printf "Interleaving crash-schedule fuzz (seed %d, %d tasks, %s)\n\n%!" seed
-      tasks config;
+    (* The header follows the run: a rejected spec prints nothing. *)
     let report = or_exit_2 (fun () -> Fuzzer.run_tasks ~spec ~locking ~max_ops ~tasks cfg) in
     let wall_s = Unix.gettimeofday () -. t0 in
+    Printf.printf "Interleaving crash-schedule fuzz (seed %d, %d tasks, %s)\n\n%!" seed
+      tasks config;
     print_string (Fuzzer.render_tasks report);
     if coverage then print_heatmap report.Fuzzer.tr_coverage;
     (* Wall-clock and job count stay out of the document (stderr only):
@@ -858,18 +859,20 @@ let run_cov only require_full json config trials max_ops seed jobs backend ring 
         progress = progress verbose;
       }
   in
-  Printf.printf "Crash-space coverage, %s (seed %d)\n\n%!" config seed;
   let t0 = Unix.gettimeofday () in
+  (* The header follows the check run: a rejected spec prints nothing. *)
   let check_report =
     match only with
     | `Fuzz -> None
-    | `Check | `All ->
-      let r = or_exit_2 (fun () -> Explorer.run ~spec cfg) in
+    | `Check | `All -> Some (or_exit_2 (fun () -> Explorer.run ~spec cfg))
+  in
+  Printf.printf "Crash-space coverage, %s (seed %d)\n\n%!" config seed;
+  Option.iter
+    (fun r ->
       Printf.printf "[check] %d scenarios, %d crash points, %d violations\n%!"
         (List.length r.Explorer.scenarios)
-        (Explorer.crash_points r) (Explorer.violation_count r);
-      Some r
-  in
+        (Explorer.crash_points r) (Explorer.violation_count r))
+    check_report;
   let fuzz_report =
     match only with
     | `Check -> None

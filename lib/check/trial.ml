@@ -39,8 +39,10 @@ let build ~obs ~spec ~seed ~setup =
    pages). Templates are per-domain (worker domains are spawned fresh by
    each [Pool.map_list], so the cache amortizes within one fan-out; the
    main domain keeps its cache for the whole process at [-j 1]) and keyed
-   by everything the build depends on, so a restored world is
-   byte-for-byte the world a fresh build would produce.
+   by everything the build depends on (a spec's label names the spec, so
+   label, backend and seed cover it), so a restored world is
+   byte-for-byte the world a fresh build would produce, recovered the
+   way its spec says.
 
    Every harness works through one configuration at a time: an explorer
    run rents one template per scenario and a fuzz campaign one per
@@ -85,9 +87,7 @@ let rent (type p) ~spec ~seed ~(kind : p kind) ~key ~setup : p t =
       r
   in
   ignore (World.restore r.world : int);
-  (* The cache key leaves out [cold]: the recovery mode is the caller's
-     spec, not the template's. *)
-  { r with spec }
+  r
 
 let run ?(obs = Trace.null) ~spec ~seed ~kind ~key ~setup body =
   if (not (Trace.enabled obs)) && Rio_util.Fastpath.on () then

@@ -25,6 +25,9 @@
     crashes are recovered, and what a matrix expects of it. *)
 type spec = {
   label : string;
+      (** Names the spec: the template cache keys on it (with [backend]
+          and the seed), so two specs with one label must not differ in
+          any other field but [backend]. *)
   protection : bool;  (** MMU write protection (orthogonal to atomicity). *)
   shadow : bool;  (** §2.3 shadow-paged metadata updates. *)
   registry : bool;  (** §2.2 registry maintenance. *)
@@ -51,7 +54,7 @@ type 'p t = {
   world : Rio_world.World.t;
   probe : Boundary.t;  (** Attached to the world's hooks and disk. *)
   payload : 'p;
-  spec : spec;  (** The spec passed to {!run}: {!audit} recovers as it says. *)
+  spec : spec;  (** The spec the world was built from: {!audit} recovers as it says. *)
 }
 
 val run :

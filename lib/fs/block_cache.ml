@@ -208,6 +208,10 @@ let flush_dirty ?via t ~sync ?(only = fun _ -> true) () =
           incr flushed
         end)
       sorted;
+    (* The nested flush only queued the entries it cleaned. A synchronous
+       flush returns with its entries on the platter, so wait for them:
+       the disk is FIFO, and draining it lands every queued write. *)
+    if sync && !flushed < List.length sorted then Disk.drain t.disk;
     assert (List.for_all (fun e -> not e.dirty) sorted);
     !flushed
   end

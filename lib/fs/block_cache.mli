@@ -76,9 +76,10 @@ val flush_dirty :
     many this call wrote. Returns without scanning the table when
     {!dirty_count} is zero. A flush that runs during one of this call's
     synchronous disk waits (an engine event) may clean selected entries
-    first; those are not written again. [via] as in {!write_back}:
-    asynchronous write-backs are staged into the write-behind pipeline
-    instead of issued directly. *)
+    first; those are not written again, and a [sync] flush drains the
+    disk before returning so that they too are on the platter. [via] as
+    in {!write_back}: asynchronous write-backs are staged into the
+    write-behind pipeline instead of issued directly. *)
 
 val invalidate : t -> blkno:int -> unit
 (** Drop a block (deleted file), freeing its page without write-back. *)

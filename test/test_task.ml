@@ -204,7 +204,8 @@ let test_flush_dirty_early_out () =
    the wait. Here one of them is a second flush of the same cache (as the
    update daemon's pass can be under write-through-on-close): it cleans
    blocks the outer flush selected but has not reached yet, and blocks
-   outside the outer filter. *)
+   outside the outer filter. It only queues its writes, so the outer flush
+   must still wait for the selected blocks before it returns. *)
 let test_flush_dirty_nested () =
   let engine, disk, cache = flush_fixture () in
   for b = 0 to 5 do
@@ -227,8 +228,10 @@ let test_flush_dirty_nested () =
   let flushed =
     Block_cache.flush_dirty cache ~sync:true ~only:(fun e -> e.Block_cache.blkno mod 2 = 0) ()
   in
-  Disk.drain disk;
   check Alcotest.int "the outer flush wrote only block 0" 1 flushed;
+  check (Alcotest.list Alcotest.int) "selected blocks on the platter on return" [ 1; 1; 1 ]
+    [ writes.(0); writes.(2); writes.(4) ];
+  Disk.drain disk;
   check (Alcotest.array Alcotest.int) "each dirty block written exactly once"
     (Array.make 6 1) writes;
   let in_table = ref 0 in
