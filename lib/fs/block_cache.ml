@@ -32,7 +32,7 @@ type t = {
   sector_of_blkno : int -> int;
   backed : bool;
   table : (int, entry) Hashtbl.t;
-  mutable ndirty : int;  (* dirty entries in [table]: flush_dirty's early-out *)
+  dirty_table : (int, entry) Hashtbl.t;  (* exactly the entries of [table] whose [dirty] is set *)
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
@@ -51,7 +51,7 @@ let create ~name ~mem ~disk ~alloc ~hooks ~sector_of_blkno ~backed =
     sector_of_blkno;
     backed;
     table = Hashtbl.create 256;
-    ndirty = 0;
+    dirty_table = Hashtbl.create 16;
     clock = 0;
     hits = 0;
     misses = 0;
@@ -64,6 +64,14 @@ let touch t entry =
   t.clock <- t.clock + 1;
   entry.tick <- t.clock
 
+(* [entry.dirty] and [t.dirty_table] change together, here and in
+   [mark_dirty]. *)
+let clean t entry =
+  if entry.dirty then begin
+    Hashtbl.remove t.dirty_table entry.blkno;
+    entry.dirty <- false
+  end
+
 let write_back ?via t entry ~sync =
   if t.backed then begin
     let data = Phys_mem.blit_out t.mem entry.paddr ~len:block_bytes in
@@ -74,12 +82,10 @@ let write_back ?via t entry ~sync =
     | None, false -> Disk.write_async t.disk ~sector data);
     t.writebacks <- t.writebacks + 1
   end;
-  if entry.dirty then t.ndirty <- t.ndirty - 1;
-  entry.dirty <- false
+  clean t entry
 
 let remove_entry t entry =
-  if entry.dirty then t.ndirty <- t.ndirty - 1;
-  entry.dirty <- false;
+  clean t entry;
   Hashtbl.remove t.table entry.blkno;
   t.hooks.Hooks.note_unmap ~paddr:entry.paddr;
   Page_alloc.free t.alloc entry.paddr
@@ -180,23 +186,30 @@ let credit_hits t entry k =
 
 let mark_dirty t entry =
   touch t entry;
-  if not entry.dirty then t.ndirty <- t.ndirty + 1;
-  entry.dirty <- true
+  if not entry.dirty then begin
+    Hashtbl.replace t.dirty_table entry.blkno entry;
+    entry.dirty <- true
+  end
+
+let pin _t entry = entry.pinned <- true
 
 let set_valid t entry valid =
   entry.valid <- valid;
   announce t entry
 
 let flush_dirty ?via t ~sync ?(only = fun _ -> true) () =
-  (* Nothing dirty, nothing to scan: the update daemon calls this on every
-     pass, so a clean cache must not pay a full-table walk. *)
-  if t.ndirty = 0 then 0
+  (* A fold walks every bucket, and [t.dirty_table] keeps the buckets it
+     grew after a burst of dirty blocks drains: the update daemon calls
+     this on every pass, so a clean cache must not pay for them. *)
+  if Hashtbl.length t.dirty_table = 0 then 0
   else begin
     let flushed = ref 0 in
-    let dirty = ref [] in
-    Hashtbl.iter (fun _ e -> if e.dirty && only e then dirty := e :: !dirty) t.table;
+    (* Collect the candidates before writing any: [write_back] removes
+       entries from [t.dirty_table], and a fold is unspecified under
+       mutation. *)
+    let dirty = Hashtbl.fold (fun _ e acc -> if only e then e :: acc else acc) t.dirty_table [] in
     (* Deterministic order: by block number. *)
-    let sorted = List.sort (fun a b -> compare a.blkno b.blkno) !dirty in
+    let sorted = List.sort (fun a b -> compare a.blkno b.blkno) dirty in
     (* A synchronous write-back waits on the disk, and due engine events
        run during the wait: the update daemon can re-enter this function
        on the same cache and clean entries still in [sorted]. Write back
@@ -230,7 +243,7 @@ let iter t f =
   let sorted = List.sort (fun a b -> compare a.blkno b.blkno) entries in
   List.iter f sorted
 
-let dirty_count t = t.ndirty
+let dirty_count t = Hashtbl.length t.dirty_table
 
 let stats t =
   { hits = t.hits; misses = t.misses; evictions = t.evictions; writebacks = t.writebacks;
@@ -245,7 +258,6 @@ let stats t =
 
 type checkpoint = {
   ck_entries : entry list; (* copies, one per table entry *)
-  ck_ndirty : int;
   ck_clock : int;
   ck_stats : stats;
 }
@@ -253,15 +265,19 @@ type checkpoint = {
 let checkpoint t =
   {
     ck_entries = Hashtbl.fold (fun _ e acc -> { e with blkno = e.blkno } :: acc) t.table [];
-    ck_ndirty = t.ndirty;
     ck_clock = t.clock;
     ck_stats = stats t;
   }
 
 let restore t ck =
   Hashtbl.reset t.table;
-  List.iter (fun e -> Hashtbl.replace t.table e.blkno { e with blkno = e.blkno }) ck.ck_entries;
-  t.ndirty <- ck.ck_ndirty;
+  Hashtbl.reset t.dirty_table;
+  List.iter
+    (fun e ->
+      let e = { e with blkno = e.blkno } in
+      Hashtbl.replace t.table e.blkno e;
+      if e.dirty then Hashtbl.replace t.dirty_table e.blkno e)
+    ck.ck_entries;
   t.clock <- ck.ck_clock;
   t.hits <- ck.ck_stats.hits;
   t.misses <- ck.ck_stats.misses;

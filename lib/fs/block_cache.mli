@@ -10,10 +10,13 @@
     Eviction is LRU and writes dirty victims synchronously first — the
     "only when the cache overflows" write that even Rio performs (§2.3). *)
 
-type entry = {
+type entry = private {
   blkno : int;  (** Data-area block number, or a negative meta key. *)
   paddr : int;  (** Backing physical page. *)
   mutable dirty : bool;
+      (** Set by {!mark_dirty}, cleared by write-back and removal. The cache
+          keeps a table of exactly the entries with [dirty] set, which is
+          why the record is private: only this module changes a field. *)
   mutable owner : Fs_types.owner;
   mutable valid : int;  (** Meaningful bytes in the page. *)
   mutable tick : int;  (** LRU clock. *)
@@ -60,6 +63,9 @@ val credit_hits : t -> entry -> int -> unit
 
 val mark_dirty : t -> entry -> unit
 
+val pin : t -> entry -> unit
+(** Exempt the entry from eviction for as long as it stays cached. *)
+
 val set_valid : t -> entry -> int -> unit
 (** Update the meaningful-byte count (re-announces the mapping). *)
 
@@ -73,13 +79,13 @@ val write_back : ?via:(sector:int -> bytes -> unit) -> t -> entry -> sync:bool -
 val flush_dirty :
   ?via:(sector:int -> bytes -> unit) -> t -> sync:bool -> ?only:(entry -> bool) -> unit -> int
 (** Write back all dirty (matching) entries in block order; returns how
-    many this call wrote. Returns without scanning the table when
-    {!dirty_count} is zero. A flush that runs during one of this call's
-    synchronous disk waits (an engine event) may clean selected entries
-    first; those are not written again, and a [sync] flush drains the
-    disk before returning so that they too are on the platter. [via] as
-    in {!write_back}: asynchronous write-backs are staged into the
-    write-behind pipeline instead of issued directly. *)
+    many this call wrote. Visits only the dirty entries, never the whole
+    table, and collects them before writing any. A flush that runs
+    during one of this call's synchronous disk waits (an engine event)
+    may clean selected entries first; those are not written again, and a
+    [sync] flush drains the disk before returning so that they too are on
+    the platter. [via] as in {!write_back}: asynchronous write-backs are
+    staged into the write-behind pipeline instead of issued directly. *)
 
 val invalidate : t -> blkno:int -> unit
 (** Drop a block (deleted file), freeing its page without write-back. *)
@@ -90,8 +96,9 @@ val drop_all : t -> unit
 val iter : t -> (entry -> unit) -> unit
 
 val dirty_count : t -> int
-(** Dirty entries currently in the table. O(1): maintained as entries are
-    dirtied, written back, and removed. *)
+(** Dirty entries currently in the table: the size of the cache's dirty
+    table, O(1). Entries join it when dirtied and leave it when written
+    back or removed; {!restore} rebuilds it. *)
 
 val stats : t -> stats
 

@@ -179,7 +179,7 @@ let sector_page_base sector = sector - (sector mod sectors_per_block)
 let meta_get t ~sector ~pin =
   let base = sector_page_base sector in
   let entry = Block_cache.get t.meta ~blkno:base ~owner:Meta ~fill:Block_cache.From_disk in
-  if pin then entry.Block_cache.pinned <- true;
+  if pin then Block_cache.pin t.meta entry;
   entry
 
 (* Address of [sector]'s bytes inside its cached page. *)

@@ -683,7 +683,9 @@ let crash_system t info =
          the queue a moment, then cut the power to the I/O subsystem.
          Record how much each flush actually pushed: these counts are what
          lets forensics attribute corruption that PROPAGATED through the
-         panic path rather than preceding it. *)
+         panic path rather than preceding it. Only a file-system error
+         may cut the flush short: anything else is a simulator bug and
+         must reach the report. *)
       (try
          let data = Rio_fs.Block_cache.flush_dirty (Fs.data_cache fs) ~sync:false () in
          let meta = Rio_fs.Block_cache.flush_dirty (Fs.meta_cache fs) ~sync:false () in
@@ -692,7 +694,7 @@ let crash_system t info =
          if Trace.enabled t.obs then
            Trace.emit t.obs Trace.Kernel (Trace.Crash_flush { data; meta });
          Engine.advance_by t.engine (Rio_util.Units.msec 200)
-       with _ -> ()));
+       with Rio_fs.Fs_types.Fs_error _ -> ()));
     Fs.crash fs
   | None -> Disk.crash t.disk);
   t.fs <- None

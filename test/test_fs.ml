@@ -119,7 +119,7 @@ let per_bit_free env fs ~start n =
       Block_cache.get meta ~blkno:(sector - (sector mod Fs_types.sectors_per_block))
         ~owner:Fs_types.Meta ~fill:Block_cache.From_disk
     in
-    e.Block_cache.pinned <- true;
+    Block_cache.pin meta e;
     let addr =
       e.Block_cache.paddr
       + (sector mod Fs_types.sectors_per_block * Disk.sector_bytes)
@@ -794,7 +794,7 @@ let test_cache_pinned_never_evicted () =
    with Exit -> ());
   List.iteri (fun i p -> if i < 2 then Page_alloc.free env.pool_alloc p) !hold;
   let pinned = Block_cache.get cache ~blkno:0 ~owner:Fs_types.Meta ~fill:Block_cache.Zero in
-  pinned.Block_cache.pinned <- true;
+  Block_cache.pin cache pinned;
   let _ = Block_cache.get cache ~blkno:1 ~owner:Fs_types.Meta ~fill:Block_cache.Zero in
   let _ = Block_cache.get cache ~blkno:2 ~owner:Fs_types.Meta ~fill:Block_cache.Zero in
   check Alcotest.bool "pinned stays" true (Block_cache.lookup cache ~blkno:0 <> None)

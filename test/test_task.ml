@@ -169,17 +169,18 @@ let flush_fixture () =
   let layout = Layout.create Layout.default_config in
   let mem = Phys_mem.create ~bytes_total:Layout.default_config.Layout.total_bytes in
   let disk = Disk.create ~engine ~costs:Costs.default ~sectors:(64 * 1024) ~seed:3 () in
+  let alloc = Page_alloc.create ~region:(Layout.region layout Layout.Page_pool) in
   let cache =
-    Block_cache.create ~name:"flush-test" ~mem ~disk
-      ~alloc:(Page_alloc.create ~region:(Layout.region layout Layout.Page_pool))
-      ~hooks:(Hooks.defaults ~mem)
+    Block_cache.create ~name:"flush-test" ~mem ~disk ~alloc ~hooks:(Hooks.defaults ~mem)
       ~sector_of_blkno:(fun b -> 2048 + (b * Fs_types.sectors_per_block))
       ~backed:true
   in
-  (engine, disk, cache)
+  (engine, disk, alloc, cache)
+
+let block_of_sector sector = (sector - 2048) / Fs_types.sectors_per_block
 
 let test_flush_dirty_early_out () =
-  let _, _, cache = flush_fixture () in
+  let _, _, _, cache = flush_fixture () in
   (* Populate with clean entries: the early-out must not depend on the
      table being empty, only on nothing being dirty. *)
   for b = 0 to 7 do
@@ -207,7 +208,7 @@ let test_flush_dirty_early_out () =
    outside the outer filter. It only queues its writes, so the outer flush
    must still wait for the selected blocks before it returns. *)
 let test_flush_dirty_nested () =
-  let engine, disk, cache = flush_fixture () in
+  let engine, disk, _, cache = flush_fixture () in
   for b = 0 to 5 do
     Block_cache.mark_dirty cache
       (Block_cache.get cache ~blkno:b ~owner:Fs_types.Meta ~fill:Block_cache.Zero)
@@ -215,7 +216,7 @@ let test_flush_dirty_nested () =
   let writes = Array.make 6 0 in
   Disk.set_on_complete disk (fun ~sector ~count:_ ~write ->
       if write then begin
-        let b = (sector - 2048) / Fs_types.sectors_per_block in
+        let b = block_of_sector sector in
         writes.(b) <- writes.(b) + 1
       end);
   (* Due during block 0's write: flush everything but the block in flight. *)
@@ -238,6 +239,117 @@ let test_flush_dirty_nested () =
   Block_cache.iter cache (fun e -> if e.Block_cache.dirty then incr in_table);
   check Alcotest.int "dirty count matches the table" !in_table (Block_cache.dirty_count cache);
   check Alcotest.int "nothing left dirty" 0 (Block_cache.dirty_count cache)
+
+(* The cache keeps a table of its dirty entries so that a flush visits
+   only them. Model check against a full scan of the cache: random
+   operation sequences, and after every step the count must equal the
+   entries whose flag is set. Every flush, including one nested in
+   another flush's disk wait, must write exactly the blocks the scan
+   selects, in block order, and a synchronous one must return with them
+   on the platter. *)
+let test_dirty_index_model () =
+  let engine, disk, alloc, cache = flush_fixture () in
+  let written = ref [] in
+  Disk.set_on_complete disk (fun ~sector ~count:_ ~write ->
+      if write then written := block_of_sector sector :: !written);
+  let nblocks = 16 in
+  let rng = Random.State.make [| 15 |] in
+  let step = ref 0 in
+  (* One failure message per mismatch, not a log line per passing step. *)
+  let same what expected actual =
+    let show l = String.concat "; " (List.map string_of_int l) in
+    if expected <> actual then
+      Alcotest.failf "step %d, %s: expected [%s], got [%s]" !step what (show expected) (show actual)
+  in
+  (* What a full-table scan selects, in block order. *)
+  let scan only =
+    let sel = ref [] in
+    Block_cache.iter cache (fun e ->
+        if e.Block_cache.dirty && only e then sel := e.Block_cache.blkno :: !sel);
+    List.rev !sel
+  in
+  let agree what =
+    same (what ^ ": dirty_count") [ List.length (scan (fun _ -> true)) ]
+      [ Block_cache.dirty_count cache ]
+  in
+  (* Land every queued write, then compare the blocks written since the
+     last check, in completion order. *)
+  let writes_are what expected =
+    Disk.drain disk;
+    same what expected (List.rev !written);
+    written := []
+  in
+  let filter () =
+    if Random.State.int rng 4 = 0 then fun _ -> true
+    else
+      let keep = Array.init nblocks (fun _ -> Random.State.bool rng) in
+      fun (e : Block_cache.entry) -> keep.(e.Block_cache.blkno)
+  in
+  let any_blkno () = Random.State.int rng nblocks in
+  let get () =
+    Block_cache.get cache ~blkno:(any_blkno ()) ~owner:Fs_types.Meta ~fill:Block_cache.Zero
+  in
+  let saved = ref (Block_cache.checkpoint cache, Page_alloc.checkpoint alloc) in
+  let dirty_restores = ref 0 and skipping_nests = ref 0 in
+  while !step < 4000 do
+    incr step;
+    (match Random.State.int rng 20 with
+    | 0 | 1 | 2 | 3 -> ignore (get ())
+    | 4 | 5 | 6 | 7 | 8 -> Block_cache.mark_dirty cache (get ())
+    | 9 | 10 -> (
+      match Block_cache.lookup cache ~blkno:(any_blkno ()) with
+      | None -> ()
+      | Some e ->
+        Block_cache.write_back cache e ~sync:(!step mod 2 = 0);
+        writes_are "write_back" [ e.Block_cache.blkno ])
+    | 11 -> Block_cache.invalidate cache ~blkno:(any_blkno ())
+    | 12 -> if Random.State.int rng 4 = 0 then Block_cache.drop_all cache
+    | 13 -> saved := (Block_cache.checkpoint cache, Page_alloc.checkpoint alloc)
+    | 14 ->
+      let ck, alloc_ck = !saved in
+      Block_cache.restore cache ck;
+      Page_alloc.restore alloc alloc_ck;
+      if Block_cache.dirty_count cache > 0 then incr dirty_restores
+    | 15 | 16 ->
+      let only = filter () in
+      let selected = scan only in
+      same "async flush count" [ List.length selected ]
+        [ Block_cache.flush_dirty cache ~sync:false ~only () ];
+      writes_are "async flush writes" selected
+    | _ ->
+      let only = filter () in
+      let selected = scan only in
+      (* Half the time a second, asynchronous flush (the update daemon's
+         pass) falls due during the first block's write. *)
+      let nested = ref None in
+      if selected <> [] && Random.State.bool rng then
+        ignore
+          (Engine.schedule_at engine ~time:(Engine.now engine + 1) (fun _ ->
+               let only = filter () in
+               let inner = scan only in
+               same "nested flush count" [ List.length inner ]
+                 [ Block_cache.flush_dirty cache ~sync:false ~only () ];
+               agree "nested flush";
+               nested := Some inner));
+      let flushed = Block_cache.flush_dirty cache ~sync:true ~only () in
+      same "sync flush: selection on the platter on return" []
+        (List.filter (fun b -> not (List.mem b !written)) selected);
+      (* The block in flight is written first; the nested flush's writes
+         queue behind it, and the outer flush skips what they cleaned. *)
+      let expected, outer =
+        match (!nested, selected) with
+        | Some inner, first :: rest ->
+          let rest' = List.filter (fun b -> not (List.mem b inner)) rest in
+          if List.length rest' < List.length rest then incr skipping_nests;
+          ((first :: inner) @ rest', 1 + List.length rest')
+        | _ -> (selected, List.length selected)
+      in
+      same "sync flush count" [ outer ] [ flushed ];
+      writes_are "sync flush writes" expected);
+    agree "after the step"
+  done;
+  check Alcotest.bool "restores rebuilt a non-empty dirty table" true (!dirty_restores > 0);
+  check Alcotest.bool "nested flushes cleaned outer candidates" true (!skipping_nests > 0)
 
 (* ---------------- the interleaving campaigns ---------------- *)
 
@@ -315,6 +427,7 @@ let () =
             test_syscall_entry_matches_wrappers;
           Alcotest.test_case "flush_dirty early-out" `Quick test_flush_dirty_early_out;
           Alcotest.test_case "flush_dirty nested in a disk wait" `Quick test_flush_dirty_nested;
+          Alcotest.test_case "dirty index = full scan" `Quick test_dirty_index_model;
         ] );
       ( "campaigns",
         [
