@@ -64,8 +64,8 @@ let touch t entry =
   t.clock <- t.clock + 1;
   entry.tick <- t.clock
 
-(* [entry.dirty] and [t.dirty_table] change together, here and in
-   [mark_dirty]. *)
+(* [entry.dirty] and [t.dirty_table] change together: here, in
+   [mark_dirty] and in [restore]. *)
 let clean t entry =
   if entry.dirty then begin
     Hashtbl.remove t.dirty_table entry.blkno;
