@@ -91,8 +91,6 @@ let size t = Bytes.length t.data
 
 let page_count t = size t / page_size
 
-let page_base pfn = pfn * page_size
-
 let pfn_of_addr addr = addr / page_size
 
 let in_range t addr ~len = addr >= 0 && len >= 0 && addr + len <= size t
@@ -266,12 +264,32 @@ let blit_within t ~src ~dst ~len =
   Bytes.blit t.data src t.data dst len;
   incr_commit t
 
+(* CRC-32 of [len] zero bytes: the register starts at all ones, and
+   [shift_zeros] feeds it the zeroes without reading any. *)
+let crc32_zeros len = Rio_util.Checksum.shift_zeros 0xFFFFFFFF ~zeros:len lxor 0xFFFFFFFF
+
+let crc32_zero_page = crc32_zeros page_size
+
 let fill t addr ~len c =
   check t addr len;
   incr_pre t addr len;
   touch_range t addr len;
   Bytes.fill t.data addr len c;
-  incr_commit t
+  incr_commit t;
+  (* A zeroed range inside one page has a known checksum: store it in the
+     page's memo (unless the incremental path just kept a memo fresh), so
+     the registry's checksum of a freshly zeroed cache page reads nothing. *)
+  if c = '\000' && len > 0 then begin
+    let pfn = addr / page_size in
+    let ver = Array.unsafe_get t.version pfn in
+    if (addr + len - 1) / page_size = pfn && Array.unsafe_get t.crc_ver pfn <> ver then begin
+      Array.unsafe_set t.crc_addr pfn addr;
+      Array.unsafe_set t.crc_len pfn len;
+      Array.unsafe_set t.crc_ver pfn ver;
+      Array.unsafe_set t.crc_val pfn
+        (if len = page_size then crc32_zero_page else crc32_zeros len)
+    end
+  end
 
 let checksum_range t addr ~len =
   check t addr len;
@@ -312,8 +330,6 @@ let restore_dump t d =
     invalid_arg "Phys_mem.restore_dump: size mismatch";
   touch_range t 0 (Bytes.length d);
   Bytes.blit d 0 t.data 0 (Bytes.length d)
-
-let unsafe_raw t = t.data
 
 (* End-of-trial teardown: zero the dirty pages and return the buffer to
    the pool for the next [create] of the same size. The memory must not be

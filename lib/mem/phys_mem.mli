@@ -39,9 +39,6 @@ val size : t -> int
 
 val page_count : t -> int
 
-val page_base : int -> paddr
-(** [page_base pfn] is the first address of physical frame [pfn]. *)
-
 val pfn_of_addr : paddr -> int
 (** Physical frame number containing an address. *)
 
@@ -87,6 +84,9 @@ val blit_within : t -> src:paddr -> dst:paddr -> len:int -> unit
 (** memmove semantics within simulated memory. *)
 
 val fill : t -> paddr -> len:int -> char -> unit
+(** Set every byte of the range to one value. A zero fill inside one page
+    also primes that page's checksum memo with the range's CRC-32, which
+    is known without reading the bytes. *)
 
 val checksum_range : t -> paddr -> len:int -> int
 (** CRC-32 of the range, used by the Rio checksum guard. Single-page
@@ -180,10 +180,4 @@ val snap_page_is_zero : t -> snapshot -> int -> bool
 val snap_checksum_range : t -> snapshot -> paddr -> len:int -> int
 (** CRC-32 of a range as it was at snapshot time; hits the single-page
     memo when the range is untouched since the snapshot. *)
-
-val unsafe_raw : t -> bytes
-(** The underlying storage, exposed for the interpreted CPU's hot path and
-    for checksumming; mutating it bypasses the version/dirty/snapshot
-    bookkeeping — callers must not write through it while a snapshot is
-    active or a page version is cached. *)
 

@@ -164,12 +164,3 @@ let fletcher32 b ~pos ~len =
     if !sum2 >= 65535 then sum2 := !sum2 - 65535
   done;
   (!sum2 lsl 16) lor !sum1
-
-type algorithm = Crc32 | Fletcher32
-
-let compute algo b ~pos ~len =
-  match algo with
-  | Crc32 -> crc32 b ~pos ~len
-  | Fletcher32 -> fletcher32 b ~pos ~len
-
-let algorithm_name = function Crc32 -> "crc32" | Fletcher32 -> "fletcher32"

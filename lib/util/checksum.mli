@@ -30,10 +30,3 @@ val shift_zeros : int -> zeros:int -> int
 
 val fletcher32 : bytes -> pos:int -> len:int -> int
 (** Fletcher-32 over the slice, treating bytes as 8-bit words. *)
-
-type algorithm = Crc32 | Fletcher32
-
-val compute : algorithm -> bytes -> pos:int -> len:int -> int
-(** Dispatch on the algorithm. *)
-
-val algorithm_name : algorithm -> string

@@ -11,7 +11,14 @@ val fill : seed:int -> len:int -> bytes
 val fill_at : seed:int -> offset:int -> len:int -> bytes
 (** The slice [\[offset, offset+len)] of the infinite pattern stream for
     [seed] — so partial reads can be checked without materializing the whole
-    file. [fill ~seed ~len = fill_at ~seed ~offset:0 ~len]. *)
+    file. [fill ~seed ~len = fill_at ~seed ~offset:0 ~len]. Both are
+    memoized per domain and return a fresh copy the caller may mutate. *)
+
+val fill_into : seed:int -> offset:int -> bytes -> pos:int -> len:int -> unit
+(** [fill_into ~seed ~offset b ~pos ~len] writes the same slice as
+    [fill_at ~seed ~offset ~len] into [b] at [pos], with no allocation and
+    no memo — for writers that generate each chunk just before using it.
+    Raises [Invalid_argument] if [\[pos, pos+len)] is not inside [b]. *)
 
 val byte_at : seed:int -> int -> char
 (** Single byte of the stream. *)

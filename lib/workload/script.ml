@@ -5,7 +5,7 @@ type op =
   | Mkdir of string
   | Open_write of string
   | Open_read of string
-  | Write_chunk of bytes
+  | Write_chunk of { seed : int; offset : int; len : int }
   | Read_chunk of int
   | Close
   | Fsync
@@ -23,7 +23,7 @@ let write_file_ops path ~seed ~len =
     if offset >= len then List.rev acc
     else begin
       let n = min chunk_size (len - offset) in
-      chunks (offset + n) (Write_chunk (Rio_util.Pattern.fill_at ~seed ~offset ~len:n) :: acc)
+      chunks (offset + n) (Write_chunk { seed; offset; len = n } :: acc)
     end
   in
   (Open_write path :: chunks 0 []) @ [ Close ]
@@ -32,14 +32,15 @@ type runner = {
   ops : op array;
   mutable next : int;
   mutable fd : Fs.fd option;
+  chunk : bytes;  (** Where each full chunk is generated before its write. *)
 }
 
-let runner ops = { ops = Array.of_list ops; next = 0; fd = None }
+let runner ops =
+  { ops = Array.of_list ops; next = 0; fd = None; chunk = Bytes.create chunk_size }
 
 let finished r = r.next >= Array.length r.ops
 
 let ops_total r = Array.length r.ops
-let ops_done r = r.next
 
 let current_fd r =
   match r.fd with
@@ -54,7 +55,15 @@ let exec r fs op =
   | Mkdir path -> ignore (sys (Fs.Syscall.Mkdir path))
   | Open_write path -> r.fd <- Some (Fs.Syscall.fd_exn (sys (Fs.Syscall.Creat path)))
   | Open_read path -> r.fd <- Some (Fs.Syscall.fd_exn (sys (Fs.Syscall.Open path)))
-  | Write_chunk data -> ignore (sys (Fs.Syscall.Write { fd = current_fd r; data }))
+  | Write_chunk { seed; offset; len } ->
+    (* The bytes exist only for the write: [Fs] copies them into the
+       cache and keeps no reference, so a full chunk reuses the runner's
+       buffer. A short (last) chunk needs a buffer of exactly its length:
+       the write's length is the buffer's, and the kernel's bcopy-overrun
+       fault reads the source past the chunk's end. *)
+    let data = if len = chunk_size then r.chunk else Bytes.create len in
+    Rio_util.Pattern.fill_into ~seed ~offset data ~pos:0 ~len;
+    ignore (sys (Fs.Syscall.Write { fd = current_fd r; data }))
   | Read_chunk len -> ignore (sys (Fs.Syscall.Read { fd = current_fd r; len }))
   | Close ->
     ignore (sys (Fs.Syscall.Close (current_fd r)));
@@ -119,7 +128,7 @@ let describe ops =
       | Mkdir _ -> { acc with mkdirs = acc.mkdirs + 1 }
       | Open_write _ -> { acc with opens_write = acc.opens_write + 1 }
       | Open_read _ -> { acc with opens_read = acc.opens_read + 1 }
-      | Write_chunk b -> { acc with bytes_written = acc.bytes_written + Bytes.length b }
+      | Write_chunk { len; _ } -> { acc with bytes_written = acc.bytes_written + len }
       | Read_chunk n -> { acc with bytes_read_chunked = acc.bytes_read_chunked + n }
       | Read_whole _ -> { acc with whole_file_reads = acc.whole_file_reads + 1 }
       | Unlink _ -> { acc with unlinks = acc.unlinks + 1 }

@@ -11,7 +11,10 @@ type op =
   | Mkdir of string
   | Open_write of string  (** create/truncate and make current. *)
   | Open_read of string
-  | Write_chunk of bytes
+  | Write_chunk of { seed : int; offset : int; len : int }
+      (** Write the pattern slice [Pattern.fill_at ~seed ~offset ~len] at
+          the current position. The bytes are generated when the op runs,
+          so a script holds no file data. *)
   | Read_chunk of int
   | Close
   | Fsync
@@ -49,7 +52,6 @@ val interleave_with : runner list -> Rio_fs.Fs.t -> every:int -> (unit -> unit) 
     crash campaign interposes kernel activity there). *)
 
 val ops_total : runner -> int
-val ops_done : runner -> int
 
 (** {1 Workload characterization} *)
 

@@ -253,6 +253,79 @@ let test_checksum_range_matches_crc () =
   check_range "sub-page range" (psz + 8) 100;
   check_range "multi-page range" 0 (4 * psz)
 
+(* A zero fill inside one page primes the page's checksum memo with the
+   CRC of the zeroes, computed without reading them. Every later answer —
+   from that memo, from the incremental path that carries it across small
+   writes, or from a recompute — must equal a from-scratch CRC, also while
+   a snapshot is active and after the snapshot is rewound. *)
+let test_zero_fill_memo () =
+  let psz = Phys_mem.page_size in
+  let pages = 4 in
+  let mem = Phys_mem.create ~bytes_total:(pages * psz) in
+  let check_range what addr len =
+    let direct = Checksum.crc32 (Phys_mem.blit_out mem addr ~len) ~pos:0 ~len in
+    check Alcotest.int what direct (Phys_mem.checksum_range mem addr ~len)
+  in
+  let random_range rng page =
+    let off = Random.State.int rng psz in
+    ((page * psz) + off, 1 + Random.State.int rng (psz - off))
+  in
+  let steps phase rng =
+    let name fmt = Printf.ksprintf (fun s -> phase ^ ": " ^ s) fmt in
+    for round = 1 to 40 do
+      let page = Random.State.int rng pages in
+      (* Zero over nonzero bytes, so a wrong memo cannot pass for right. *)
+      Phys_mem.blit_in mem (page * psz) (Pattern.fill ~seed:round ~len:psz);
+      let addr, len = random_range rng page in
+      Phys_mem.fill mem addr ~len '\000';
+      check_range (name "round %d zero fill" round) addr len;
+      for i = 1 to 4 do
+        Phys_mem.write_u32 mem ((page * psz) + Random.State.int rng (psz - 4))
+          (Random.State.int rng 0x3FFF_FFFF);
+        check_range (name "round %d small write %d" round i) addr len
+      done;
+      let other_addr, other_len = random_range rng page in
+      check_range (name "round %d other range" round) other_addr other_len;
+      check_range (name "round %d filled range again" round) addr len;
+      (* A small zero fill while the whole-page memo is fresh: the
+         incremental path keeps that memo instead. *)
+      check_range (name "round %d whole page" round) (page * psz) psz;
+      let small = 1 + Random.State.int rng 512 in
+      let small_addr = (page * psz) + Random.State.int rng (psz - small) in
+      Phys_mem.fill mem small_addr ~len:small '\000';
+      check_range (name "round %d whole page after small zero fill" round) (page * psz) psz;
+      check_range (name "round %d small zero range" round) small_addr small;
+      (* A nonzero fill must not be taken for zeroes. *)
+      let x_addr, x_len = random_range rng page in
+      Phys_mem.fill mem x_addr ~len:x_len 'x';
+      check_range (name "round %d nonzero fill" round) x_addr x_len
+    done;
+    (* A zero fill that spans pages primes no memo. *)
+    Phys_mem.fill mem (psz - 100) ~len:(psz + 200) '\000';
+    check_range (name "spanning fill") (psz - 100) (psz + 200);
+    check_range (name "spanning fill, first page part") (psz - 100) 100;
+    check_range (name "spanning fill, whole middle page") psz psz;
+    check_range (name "spanning fill, last page part") (2 * psz) 100;
+    (* A full-page write after a whole-page zero fill. *)
+    Phys_mem.fill mem (2 * psz) ~len:psz '\000';
+    check_range (name "whole-page zero fill") (2 * psz) psz;
+    Phys_mem.blit_in mem (2 * psz) (Pattern.fill ~seed:99 ~len:psz);
+    check_range (name "full-page write") (2 * psz) psz
+  in
+  let rng = Random.State.make [| 0x2E40 |] in
+  steps "fresh" rng;
+  let snap = Phys_mem.snapshot mem in
+  let frozen = Phys_mem.dump mem in
+  steps "snapshot active" rng;
+  ignore (Phys_mem.restore_keep mem snap);
+  check Alcotest.bool "restore_keep rewinds" true (Bytes.equal frozen (Phys_mem.dump mem));
+  check_range "after restore_keep, whole memory" 0 (pages * psz);
+  steps "after restore_keep" rng;
+  check Alcotest.int "snapshot checksum"
+    (Checksum.crc32 frozen ~pos:psz ~len:psz)
+    (Phys_mem.snap_checksum_range mem snap psz ~len:psz);
+  Phys_mem.release mem snap
+
 let prop_crc_incremental_algebra =
   (* The identity the incremental path relies on: patching a range of M
      shifts the CRC by the raw CRC of the xor-difference, carried over the
@@ -339,6 +412,7 @@ let () =
       ( "checksum",
         [
           Alcotest.test_case "checksum_range = direct CRC" `Quick test_checksum_range_matches_crc;
+          Alcotest.test_case "zero-fill memo = direct CRC" `Quick test_zero_fill_memo;
           qtest prop_crc_incremental_algebra;
         ] );
       ("pattern", [ Alcotest.test_case "fill_at/byte_at slices" `Quick test_pattern_fill_at ]);

@@ -203,6 +203,39 @@ let prop_pattern_fill_at_consistent =
       let whole = Pattern.fill ~seed ~len:(off + len) in
       Bytes.equal (Bytes.sub whole off len) (Pattern.fill_at ~seed ~offset:off ~len))
 
+(* The kernel against the definition: byte [i] of a slice is
+   [byte_at ~seed (offset + i)], through [fill_at] and through
+   [fill_into] at a nonzero position, for any int seed (negative ones and
+   ones past 2^32 included), offsets up to 2^30 and lengths 0-20_000. *)
+let prop_pattern_matches_byte_at =
+  QCheck.Test.make ~name:"fill_at and fill_into follow byte_at" ~count:200
+    QCheck.(quad int (int_bound (1 lsl 30)) (int_bound 20_000) (int_range 1 100))
+    (fun (seed, offset, len, pos) ->
+      let expect = Bytes.init len (fun i -> Pattern.byte_at ~seed (offset + i)) in
+      let buf = Bytes.make (pos + len + 7) '\x5a' in
+      Pattern.fill_into ~seed ~offset buf ~pos ~len;
+      Bytes.equal expect (Pattern.fill_at ~seed ~offset ~len)
+      && Bytes.equal expect (Bytes.sub buf pos len)
+      && Bytes.equal (Bytes.sub buf 0 pos) (Bytes.make pos '\x5a')
+      && Bytes.equal (Bytes.sub buf (pos + len) 7) (Bytes.make 7 '\x5a'))
+
+(* CRC-32s of two slices, recorded before the kernel was rewritten. *)
+let test_pattern_golden () =
+  let crc b = Checksum.crc32 b ~pos:0 ~len:(Bytes.length b) in
+  check Alcotest.int "fill ~seed:7 ~len:40_000" 0xEA03FA31 (crc (Pattern.fill ~seed:7 ~len:40_000));
+  check Alcotest.int "fill_at ~seed:(-123456789) ~offset:1_000_003 ~len:8_191" 0xBA59D23E
+    (crc (Pattern.fill_at ~seed:(-123456789) ~offset:1_000_003 ~len:8_191))
+
+let test_pattern_fill_into_bounds () =
+  let b = Bytes.create 10 in
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "pos %d len %d rejected" pos len)
+        (Invalid_argument "Pattern.fill_into")
+        (fun () -> Pattern.fill_into ~seed:1 ~offset:0 b ~pos ~len))
+    [ (-1, 2); (0, -1); (5, 6); (11, 0) ]
+
 (* ---------------- units ---------------- *)
 
 let test_units () =
@@ -257,6 +290,9 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_pattern_deterministic;
           Alcotest.test_case "seeds differ" `Quick test_pattern_seed_differs;
           qtest prop_pattern_fill_at_consistent;
+          qtest prop_pattern_matches_byte_at;
+          Alcotest.test_case "golden CRCs" `Quick test_pattern_golden;
+          Alcotest.test_case "fill_into bounds" `Quick test_pattern_fill_into_bounds;
         ] );
       ("units", [ Alcotest.test_case "conversions" `Quick test_units ]);
     ]

@@ -28,8 +28,8 @@ let test_script_runner () =
     [
       Script.Mkdir "/w";
       Script.Open_write "/w/f";
-      Script.Write_chunk (Bytes.of_string "chunk1");
-      Script.Write_chunk (Bytes.of_string "chunk2");
+      Script.Write_chunk { seed = 3; offset = 0; len = 6 };
+      Script.Write_chunk { seed = 3; offset = 6; len = 6 };
       Script.Close;
       Script.Stat "/w/f";
       Script.Read_whole "/w/f";
@@ -44,12 +44,25 @@ let test_script_runner () =
   check Alcotest.bool "finished" true (Script.finished r);
   check Alcotest.bool "cleaned up" false (Fs.exists fs "/w")
 
+(* Chunks are generated into each runner's buffer just before their
+   write. Two interleaved writers of multi-chunk files catch a buffer
+   shared between runners or kept by the file system past the write, under
+   every policy's write path. *)
 let test_script_write_file_ops () =
-  let fs = fresh_fs () in
-  let ops = Script.write_file_ops "/f" ~seed:5 ~len:20_000 in
-  Script.run_all (Script.runner ops) fs;
-  check Alcotest.bytes "pattern written in chunks" (Rio_util.Pattern.fill ~seed:5 ~len:20_000)
-    (Fs.read_file fs "/f")
+  List.iter
+    (fun policy ->
+      let fs = fresh_fs ~policy () in
+      let files = [ ("/f", 5, 20_000); ("/g", 6, 3 * Script.chunk_size) ] in
+      Script.interleave
+        (List.map (fun (path, seed, len) -> Script.runner (Script.write_file_ops path ~seed ~len)) files)
+        fs;
+      List.iter
+        (fun (path, seed, len) ->
+          check Alcotest.bytes
+            (Printf.sprintf "%s written in chunks under %s" path (Fs.policy_name policy))
+            (Rio_util.Pattern.fill ~seed ~len) (Fs.read_file fs path))
+        files)
+    Fs.all_policies
 
 let test_script_interleave () =
   let fs = fresh_fs () in
@@ -75,8 +88,8 @@ let test_script_describe () =
     [
       Script.Mkdir "/d";
       Script.Open_write "/d/f";
-      Script.Write_chunk (Bytes.make 100 'x');
-      Script.Write_chunk (Bytes.make 50 'y');
+      Script.Write_chunk { seed = 4; offset = 0; len = 100 };
+      Script.Write_chunk { seed = 4; offset = 100; len = 50 };
       Script.Close;
       Script.Read_whole "/d/f";
       Script.Stat "/d/f";
