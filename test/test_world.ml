@@ -5,7 +5,8 @@
    builds (the --reference mode) — and demand identical attempt records
    and explorer reports, crashes and warm and cold reboots included. The
    recovery tests hold the world's two reboot sequences to the
-   hand-assembled ones they replaced. *)
+   hand-assembled ones they replaced. The policy test pins what each of
+   Table 2's file systems sends to disk, call by call. *)
 
 module World = Rio_world.World
 module Fs = Rio_fs.Fs
@@ -340,6 +341,77 @@ let test_cold_reboot_matches_model () =
       { rio_twin with policy = Fs.Rio_idle; wb_unordered = true; protection = false };
     ]
 
+(* ---------------- per-policy disk traffic ---------------- *)
+
+(* What each of Table 2's file systems sends to disk, one call at a time.
+   Every call runs on a fresh world whose /f holds 3,000 dirty bytes
+   behind an open fd, with the disk drained. A call reads '-' when it
+   issues no disk write, 'Q' when a write it issued is still queued as it
+   returns, and 'D' when every one is on the platter. The kernel then
+   crashes, and its panic flush reports the data and metadata blocks it
+   pushed out. *)
+let policy_calls : (string * (Fs.t -> Fs.fd -> unit)) list =
+  [
+    ("create", fun fs _ -> ignore (Fs.create fs "/g" : Fs.fd));
+    ("append", fun fs fd -> Fs.write fs fd (Bytes.make 100 'a'));
+    ("pwrite", fun fs fd -> Fs.pwrite fs fd ~offset:0 (Bytes.make 100 'p'));
+    ("close", fun fs fd -> Fs.close fs fd);
+    ("fsync", fun fs fd -> Fs.fsync fs fd);
+    ("truncate", fun fs _ -> Fs.truncate fs "/f" 1000);
+    ("sync", fun fs _ -> Fs.sync fs);
+    ("daemon", fun fs _ -> ignore (Fs.update_daemon_flush fs : int));
+  ]
+
+let policy_traffic policy =
+  let one (_, call) =
+    let w = World.create ~rio:false ~policy ~seed:5 () in
+    let fs = World.fs w and disk = World.disk w and k = World.kernel w in
+    let fd = Fs.create fs "/f" in
+    Fs.write fs fd (Pattern.fill ~seed:3 ~len:3000);
+    Disk.drain disk;
+    let before = (Disk.stats disk).Disk.writes in
+    call fs fd;
+    let issued = (Disk.stats disk).Disk.writes - before in
+    let cls = if issued = 0 then '-' else if Disk.pending_writes disk > 0 then 'Q' else 'D' in
+    Kernel.crash_system k
+      { Rio_kernel.Kcrash.cause = Rio_kernel.Kcrash.Hang; during = "test";
+        at_us = Engine.now (World.engine w) };
+    let flushed = Kernel.crash_flushed k in
+    World.dispose w;
+    (cls, issued, flushed)
+  in
+  let runs = List.map one policy_calls in
+  ( String.of_seq (List.to_seq (List.map (fun (c, _, _) -> c) runs)),
+    List.map (fun (_, n, _) -> n) runs,
+    List.map (fun (_, _, f) -> f) runs )
+
+(* Per policy, per call in [policy_calls] order: the class, the disk
+   writes issued, and the panic flush's data+meta blocks. *)
+let expected_traffic =
+  [
+    ("memory-fs", "--------", [ 0; 0; 0; 0; 0; 0; 0; 0 ], "0+0 0+0 0+0 0+0 0+0 0+0 0+0 0+0");
+    ("ufs-delayed", "----D-DQ", [ 0; 0; 0; 0; 2; 0; 3; 3 ], "1+2 1+2 1+2 1+2 0+1 1+2 0+0 0+0");
+    ("advfs", "--QQD-DQ", [ 0; 0; 1; 1; 2; 0; 3; 5 ], "1+2 1+2 0+2 0+2 0+1 1+2 0+0 0+0");
+    ("ufs", "D-QQD-DQ", [ 2; 0; 1; 1; 2; 0; 2; 2 ], "1+0 1+1 0+1 0+1 0+0 1+1 0+0 0+0");
+    ("wt-close", "D-QDDDDQ", [ 2; 0; 1; 2; 2; 2; 2; 2 ], "1+0 1+1 0+1 0+0 0+0 0+0 0+0 0+0");
+    ("wt-write", "DDD--D--", [ 2; 2; 2; 0; 0; 2; 0; 0 ], "0+0 0+0 0+0 0+0 0+0 0+0 0+0 0+0");
+    ("rio", "--------", [ 0; 0; 0; 0; 0; 0; 0; 0 ], "0+0 0+0 0+0 0+0 0+0 0+0 0+0 0+0");
+    ("rio-idle", "------DQ", [ 0; 0; 0; 0; 0; 0; 3; 3 ], "0+0 0+0 0+0 0+0 0+0 0+0 0+0 0+0");
+  ]
+
+let test_policy_traffic () =
+  check (Alcotest.list Alcotest.string) "every policy pinned"
+    (List.map Fs.policy_name Fs.all_policies)
+    (List.map (fun (name, _, _, _) -> name) expected_traffic);
+  List.iter2
+    (fun p (name, classes, issued, flushed) ->
+      let classes', issued', flushed' = policy_traffic p in
+      check Alcotest.string (name ^ ": classes") classes classes';
+      check (Alcotest.list Alcotest.int) (name ^ ": writes issued") issued issued';
+      check Alcotest.string (name ^ ": panic flush") flushed
+        (String.concat " " (List.map (fun (d, m) -> Printf.sprintf "%d+%d" d m) flushed')))
+    Fs.all_policies expected_traffic
+
 let () =
   Alcotest.run "world"
     [
@@ -366,4 +438,6 @@ let () =
           Alcotest.test_case "cold reboot = hand-assembled sequence" `Quick
             test_cold_reboot_matches_model;
         ] );
+      ( "policies",
+        [ Alcotest.test_case "disk traffic per call and policy" `Quick test_policy_traffic ] );
     ]
