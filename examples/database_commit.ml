@@ -67,7 +67,7 @@ let run_config label ~policy ~rio ~fsync_on_commit ~transactions =
   let per_txn = float_of_int elapsed /. float_of_int transactions in
   let tps = 1e6 /. per_txn in
   say "  %-34s %8.2f ms/commit  %8.0f tps   %s" label (per_txn /. 1e3) tps
-    (if fsync_on_commit || policy = Fs.Rio_policy then "durable per commit"
+    (if fsync_on_commit || rio then "durable per commit"
      else "loses up to 30s on a crash")
 
 let () =

@@ -285,6 +285,3 @@ let restore t ck =
   t.writebacks <- ck.ck_stats.writebacks;
   t.fills <- ck.ck_stats.fills
 
-let pp_stats ppf (s : stats) =
-  Format.fprintf ppf "hits=%d misses=%d evictions=%d writebacks=%d fills=%d" s.hits s.misses
-    s.evictions s.writebacks s.fills

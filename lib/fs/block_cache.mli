@@ -102,8 +102,6 @@ val dirty_count : t -> int
 
 val stats : t -> stats
 
-val pp_stats : Format.formatter -> stats -> unit
-
 (** {1 World-template rewind} *)
 
 type checkpoint

@@ -28,6 +28,42 @@ let policy_name = function
 let all_policies =
   [ Mfs; Ufs_delayed; Advfs; Ufs_default; Wt_close; Wt_write; Rio_policy; Rio_idle ]
 
+(* What each policy does, as UFS plus the changes it makes (DESIGN §4
+   tabulates them). Nothing else in the library names a policy
+   constructor to decide anything. *)
+
+type meta_write = Delayed | Sync | Journal
+type flush = Never | Async | Sync
+
+type rules = {
+  disk : bool;
+  meta : meta_write;
+  on_write : flush;
+  on_close : flush;
+  daemon : bool;
+  trusts_memory : bool;
+}
+
+let ufs =
+  { disk = true; meta = Sync; on_write = Async; on_close = Async; daemon = true;
+    trusts_memory = false }
+
+(* §2.3: bwrite and bawrite become bdwrite, sync and fsync return
+   immediately, and panic no longer writes dirty buffers back. *)
+let rio =
+  { ufs with meta = Delayed; on_write = Never; on_close = Never; daemon = false;
+    trusts_memory = true }
+
+let rules = function
+  | Ufs_default -> ufs
+  | Ufs_delayed -> { ufs with meta = Delayed; on_write = Never; on_close = Never }
+  | Advfs -> { ufs with meta = Journal }
+  | Wt_close -> { ufs with on_close = Sync }
+  | Wt_write -> { ufs with on_write = Sync; on_close = Never }
+  | Rio_policy -> rio
+  | Rio_idle -> { rio with daemon = true }
+  | Mfs -> { rio with disk = false }
+
 type geometry = {
   total_sectors : int;
   inode_count : int;
@@ -137,6 +173,7 @@ type t = {
   mem : Phys_mem.t;
   disk : Disk.t;
   policy : policy;
+  rules : rules;
   hooks : Hooks.t;
   sb : Ondisk.superblock;
   meta : Block_cache.t;
@@ -161,12 +198,8 @@ type t = {
 
 let engine t = t.engine
 let policy t = t.policy
-let hooks t = t.hooks
-let superblock t = t.sb
-let disk t = t.disk
 let meta_cache t = t.meta
 let data_cache t = t.data
-let write_behind t = t.wb
 
 let charge t us = Engine.advance_by t.engine us
 let charge_syscall t = charge t t.costs.Costs.syscall_overhead
@@ -194,15 +227,15 @@ let journal_payload t ~sector ~len =
    [len] bytes starting at [sector] (within one page). *)
 let policy_meta_write t ~cls ~sector ~len =
   let entry = meta_get t ~sector ~pin:false in
-  match t.policy with
-  | Mfs | Rio_policy | Rio_idle | Ufs_delayed -> ()
-  | Ufs_default | Wt_close | Wt_write ->
+  match t.rules.meta with
+  | Delayed -> ()
+  | Sync ->
     (match cls with
     | Class_inode | Class_dir ->
       (* The synchronous metadata updates that dominate UFS's cost. *)
       Block_cache.write_back t.meta entry ~sync:true
     | Class_bitmap | Class_super -> ())
-  | Advfs ->
+  | Journal ->
     (match (t.journal, cls) with
     | Some j, (Class_inode | Class_dir | Class_super) ->
       Journal.append j ~sector (journal_payload t ~sector ~len)
@@ -365,41 +398,32 @@ let dir_index_of entries =
 let dir_used_of entries =
   List.fold_left (fun acc (n, _) -> acc + Ondisk.dir_entry_bytes n) 0 entries
 
+let page_version t paddr = Phys_mem.page_version t.mem (paddr / Phys_mem.page_size)
+
 (* Install decoded block state in the cache against the page's current
-   version — called right after a mutation so the next read pays neither
-   an 8 KB decode nor an index rebuild beyond the one done here. *)
-let dir_cache_put t blkno ~paddr entries =
-  let ver = Phys_mem.page_version t.mem (paddr / Phys_mem.page_size) in
-  Hashtbl.replace t.dir_cache blkno
+   version, so the next read pays neither an 8 KB decode nor an index
+   rebuild. [used] and [index] default to ones computed from [entries]. *)
+let dir_cache_put ?used ?index t blkno ~paddr entries =
+  let db =
     {
       db_paddr = paddr;
-      db_ver = ver;
+      db_ver = page_version t paddr;
       db_entries = entries;
-      db_used = dir_used_of entries;
-      db_index = dir_index_of entries;
+      db_used = (match used with Some u -> u | None -> dir_used_of entries);
+      db_index = (match index with Some i -> i | None -> dir_index_of entries);
     }
+  in
+  Hashtbl.replace t.dir_cache blkno db;
+  db
 
 let dir_read_block t blkno =
-  let sector = dir_block_sector t blkno in
-  let entry = meta_get t ~sector ~pin:false in
+  let entry = meta_get t ~sector:(dir_block_sector t blkno) ~pin:false in
   let paddr = entry.Block_cache.paddr in
-  let ver = Phys_mem.page_version t.mem (paddr / Phys_mem.page_size) in
   match Hashtbl.find_opt t.dir_cache blkno with
-  | Some db when db.db_paddr = paddr && db.db_ver = ver -> db
+  | Some db when db.db_paddr = paddr && db.db_ver = page_version t paddr -> db
   | _ ->
     let raw = Phys_mem.blit_out t.mem paddr ~len:block_bytes in
-    let entries = Ondisk.dir_unpack raw ~pos:0 ~len:block_bytes in
-    let db =
-      {
-        db_paddr = paddr;
-        db_ver = ver;
-        db_entries = entries;
-        db_used = dir_used_of entries;
-        db_index = dir_index_of entries;
-      }
-    in
-    Hashtbl.replace t.dir_cache blkno db;
-    db
+    dir_cache_put t blkno ~paddr (Ondisk.dir_unpack raw ~pos:0 ~len:block_bytes)
 
 (* Full repack: the removal/compaction path. The insert path appends in
    place instead (see [dir_append_block]). *)
@@ -409,7 +433,7 @@ let dir_write_block t blkno entries =
   meta_update t ~cls:Class_dir ~sector ~len:block_bytes (fun addr ->
       paddr := addr;
       Phys_mem.blit_in t.mem addr (Ondisk.dir_pack entries));
-  dir_cache_put t blkno ~paddr:!paddr entries
+  ignore (dir_cache_put t blkno ~paddr:!paddr entries : dir_block)
 
 (* Append one entry at the block's current end offset: [u32 ino][u8 len]
    [name]. The bytes past the last entry are zero (freshly allocated
@@ -429,15 +453,10 @@ let dir_append_block t blkno db name ino =
       Phys_mem.blit_in t.mem (addr + db.db_used) img);
   (* Incremental cache refresh: extend the existing index in place. *)
   Hashtbl.replace db.db_index name ino;
-  let ver = Phys_mem.page_version t.mem (!paddr / Phys_mem.page_size) in
-  Hashtbl.replace t.dir_cache blkno
-    {
-      db_paddr = !paddr;
-      db_ver = ver;
-      db_entries = db.db_entries @ [ (name, ino) ];
-      db_used = db.db_used + elen;
-      db_index = db.db_index;
-    }
+  ignore
+    (dir_cache_put ~used:(db.db_used + elen) ~index:db.db_index t blkno ~paddr:!paddr
+       (db.db_entries @ [ (name, ino) ])
+      : dir_block)
 
 let dir_blocks inode =
   let nblocks = (inode.Ondisk.size + block_bytes - 1) / block_bytes in
@@ -506,17 +525,35 @@ let data_owner ino bi = Data { ino; offset = bi * block_bytes }
 let data_block t ino inode bi ~alloc ~fill =
   if bi >= ndirect then err "file too large (inode %d)" ino;
   let ptr = inode.Ondisk.blocks.(bi) in
-  if ptr = 0 then begin
-    if not alloc then None
-    else begin
-      let blkno = balloc t in
-      inode.Ondisk.blocks.(bi) <- blkno + 1;
-      Some
-        (Block_cache.get t.data ~blkno ~owner:(data_owner ino bi) ~fill:Block_cache.Zero, true)
-    end
+  if ptr <> 0 then Some (Block_cache.get t.data ~blkno:(ptr - 1) ~owner:(data_owner ino bi) ~fill)
+  else if not alloc then None
+  else begin
+    let blkno = balloc t in
+    inode.Ondisk.blocks.(bi) <- blkno + 1;
+    Some (Block_cache.get t.data ~blkno ~owner:(data_owner ino bi) ~fill:Block_cache.Zero)
   end
-  else
-    Some (Block_cache.get t.data ~blkno:(ptr - 1) ~owner:(data_owner ino bi) ~fill, false)
+
+(* Split the byte range [offset, offset + len) at block boundaries and
+   call [f ~bi ~in_block ~pos ~chunk] on each piece: file block [bi],
+   [chunk] bytes from [in_block] in it, [pos] bytes into the range. *)
+let iter_blocks ~offset ~len f =
+  let pos = ref 0 in
+  while !pos < len do
+    let off = offset + !pos in
+    let chunk = min (len - !pos) (block_bytes - (off mod block_bytes)) in
+    f ~bi:(off / block_bytes) ~in_block:(off mod block_bytes) ~pos:!pos ~chunk;
+    pos := !pos + chunk
+  done
+
+(* Store into a cached file page inside its write window, then mark it
+   dirty with [valid] bytes in use. [store] receives the page's address. *)
+let store_data t (entry : Block_cache.entry) ~valid store =
+  let paddr = entry.Block_cache.paddr in
+  t.hooks.Hooks.open_write ~paddr;
+  store paddr;
+  t.hooks.Hooks.close_write ~paddr;
+  Block_cache.mark_dirty t.data entry;
+  Block_cache.set_valid t.data entry valid
 
 let flush_file_data t ino ~sync =
   let only (e : Block_cache.entry) =
@@ -529,25 +566,23 @@ let fsync_inode t ino =
   let entry = meta_get t ~sector ~pin:false in
   if entry.Block_cache.dirty then Block_cache.write_back t.meta entry ~sync:true
 
+(* Put the file's dirty data, then its inode, on the platter. *)
+let force_file t ino =
+  flush_file_data t ino ~sync:true;
+  fsync_inode t ino
+
 let read_ino_data t ino ~offset ~len =
+  if offset < 0 then err "read: negative offset";
   let inode = iget t ino in
-  let size = inode.Ondisk.size in
-  let len = max 0 (min len (size - offset)) in
+  let len = max 0 (min len (inode.Ondisk.size - offset)) in
   let out = Bytes.make len '\000' in
   if len > 0 then begin
     charge_copy t len;
-    let pos = ref 0 in
-    while !pos < len do
-      let off = offset + !pos in
-      let bi = off / block_bytes in
-      let in_block = off mod block_bytes in
-      let chunk = min (len - !pos) (block_bytes - in_block) in
-      (match data_block t ino inode bi ~alloc:false ~fill:Block_cache.From_disk with
-      | Some (entry, _) ->
-        t.hooks.Hooks.copy_out ~paddr:(entry.Block_cache.paddr + in_block) out !pos ~len:chunk
-      | None -> () (* hole reads as zeros *));
-      pos := !pos + chunk
-    done
+    iter_blocks ~offset ~len (fun ~bi ~in_block ~pos ~chunk ->
+        match data_block t ino inode bi ~alloc:false ~fill:Block_cache.From_disk with
+        | Some entry ->
+          t.hooks.Hooks.copy_out ~paddr:(entry.Block_cache.paddr + in_block) out pos ~len:chunk
+        | None -> () (* hole reads as zeros *))
   end;
   out
 
@@ -600,6 +635,27 @@ let namei_parent t path =
     let dir_path = "/" ^ String.concat "/" (List.rev rev_dir) in
     (namei t dir_path, base)
 
+(* [path]'s directory, last component and inode, which must exist; the
+   error names the [missing] kind of file. *)
+let lookup t path ~missing =
+  let dirino, base = namei_parent t path in
+  match dir_find t (iget t dirino) base with
+  | Some ino -> (dirino, base, ino)
+  | None -> err "%s: no such %s" path missing
+
+(* [path]'s directory, which must be one, and last component. *)
+let parent_dir t path =
+  let dirino, base = namei_parent t path in
+  let dir = iget t dirino in
+  if dir.Ondisk.ftype <> Directory then err "%s: parent not a directory" path;
+  (dirino, dir, base)
+
+(* As [parent_dir], for a name that must not exist yet. *)
+let free_name t path =
+  let dirino, dir, base = parent_dir t path in
+  if dir_find t dir base <> None then err "%s: already exists" path;
+  (dirino, base)
+
 (* ---------------- fd bookkeeping ---------------- *)
 
 let get_fd t fd =
@@ -633,20 +689,21 @@ let wb_flush_caches ?(meta = true) t =
     if meta then n + Block_cache.flush_dirty t.meta ~sync:false () else n
 
 let update_daemon_flush t =
-  match t.policy with
-  | Mfs | Rio_policy -> 0
-  | Ufs_default | Ufs_delayed | Wt_close | Wt_write | Rio_idle ->
-    (* Rio_idle: the paper's future-work variant — reliability does not
-       need these writes (memory is safe), but trickling dirty blocks out
-       during idle periods keeps later evictions from stalling. *)
-    wb_flush_caches t
-  | Advfs ->
-    (* Metadata goes through the journal; only file data rides the
-       write-behind pipeline. The journal checkpoint's own metadata flush
-       stays direct (it must land at the blocks' home sectors). *)
-    let n = wb_flush_caches ~meta:false t in
-    (match t.journal with Some j -> Journal.checkpoint j | None -> ());
-    n
+  if not t.rules.daemon then 0
+  else
+    match t.journal with
+    | None ->
+      (* Under rio-idle, the paper's future-work variant, reliability does
+         not need these writes (memory is safe), but trickling dirty blocks
+         out during idle periods keeps later evictions from stalling. *)
+      wb_flush_caches t
+    | Some j ->
+      (* Metadata goes through the journal; only file data rides the
+         write-behind pipeline. The journal checkpoint's own metadata flush
+         stays direct (it must land at the blocks' home sectors). *)
+      let n = wb_flush_caches ~meta:false t in
+      Journal.checkpoint j;
+      n
 
 let rec schedule_daemon_at t ~time =
   t.daemon_due <- time;
@@ -664,11 +721,12 @@ and schedule_daemon t =
 (* ---------------- mount / unmount / crash ---------------- *)
 
 let mount ~engine ~costs ~mem ~meta_alloc ~pool_alloc ~disk ~policy ~hooks ~wb_unordered =
+  let rules = rules policy in
   let sb =
     let raw = Disk.read_sync disk ~sector:Ondisk.superblock_sector ~count:1 in
     Ondisk.read_superblock raw
   in
-  let backed = policy <> Mfs in
+  let backed = rules.disk in
   let meta =
     Block_cache.create ~name:"buffer-cache" ~mem ~disk ~alloc:meta_alloc ~hooks
       ~sector_of_blkno:(fun base -> base)
@@ -680,11 +738,12 @@ let mount ~engine ~costs ~mem ~meta_alloc ~pool_alloc ~disk ~policy ~hooks ~wb_u
       ~backed
   in
   let journal =
-    if policy = Advfs then
+    match rules.meta with
+    | Journal ->
       Some
         (Journal.create ~disk ~start_sector:sb.Ondisk.journal_start
            ~sectors:sb.Ondisk.journal_sectors)
-    else None
+    | Delayed | Sync -> None
   in
   let wb = if backed then Some (Write_behind.create ~disk ~hooks ~unordered:wb_unordered) else None in
   let t =
@@ -694,6 +753,7 @@ let mount ~engine ~costs ~mem ~meta_alloc ~pool_alloc ~disk ~policy ~hooks ~wb_u
       mem;
       disk;
       policy;
+      rules;
       hooks;
       sb;
       meta;
@@ -718,7 +778,7 @@ let mount ~engine ~costs ~mem ~meta_alloc ~pool_alloc ~disk ~policy ~hooks ~wb_u
     Journal.set_on_checkpoint j (fun () -> ignore (Block_cache.flush_dirty t.meta ~sync:false ()));
     Journal.set_on_event j (fun ~label -> t.hooks.Hooks.wb_event ~label)
   | None -> ());
-  if policy = Mfs then begin
+  if not backed then begin
     (* A memory file system starts empty: materialize the inode bitmap and
        an empty root directory in the (disk-less) cache. *)
     bitmap_set t ~start:sb.Ondisk.ibitmap_start (root_ino - 1) true;
@@ -731,18 +791,15 @@ let mount ~engine ~costs ~mem ~meta_alloc ~pool_alloc ~disk ~policy ~hooks ~wb_u
      faulted into pinned buffer-cache pages). *)
   t.free_inodes <- count_free t ~start:sb.Ondisk.ibitmap_start sb.Ondisk.inode_count;
   t.free_blocks <- count_free t ~start:sb.Ondisk.bbitmap_start sb.Ondisk.data_blocks;
-  (match policy with
-  | Mfs | Rio_policy -> ()
-  | Ufs_default | Ufs_delayed | Wt_close | Wt_write | Advfs | Rio_idle -> schedule_daemon t);
+  if rules.daemon then schedule_daemon t;
   (* Mark the volume dirty-mounted so an unclean shutdown is detectable. *)
   meta_update t ~cls:Class_super ~sector:Ondisk.superblock_sector ~len:Disk.sector_bytes
     (fun addr ->
       Phys_mem.blit_in t.mem addr (Ondisk.write_superblock { sb with Ondisk.clean = false }));
-  (match policy with
-  | Mfs -> ()
-  | Ufs_default | Ufs_delayed | Wt_close | Wt_write | Advfs | Rio_policy | Rio_idle ->
+  if backed then begin
     let entry = meta_get t ~sector:Ondisk.superblock_sector ~pin:true in
-    Block_cache.write_back t.meta entry ~sync:true);
+    Block_cache.write_back t.meta entry ~sync:true
+  end;
   t
 
 let stop_daemon t =
@@ -750,35 +807,37 @@ let stop_daemon t =
   t.daemon <- None;
   t.alive <- false
 
+(* Write every dirty block back and wait for the disk. *)
+let flush_and_drain t =
+  ignore (Block_cache.flush_dirty t.data ~sync:false ());
+  ignore (Block_cache.flush_dirty t.meta ~sync:false ());
+  if t.rules.disk then Disk.drain t.disk
+
 let remount_cold t =
   (* Flush everything, then drop the caches — the state after unmount +
      mount, without tearing down the daemon. *)
-  ignore (Block_cache.flush_dirty t.data ~sync:false ());
-  ignore (Block_cache.flush_dirty t.meta ~sync:false ());
-  if t.policy <> Mfs then Disk.drain t.disk;
+  flush_and_drain t;
   Block_cache.drop_all t.data;
   Block_cache.drop_all t.meta;
   Hashtbl.reset t.icache
 
 let sync t =
   charge_syscall t;
-  match t.policy with
-  | Rio_policy | Mfs -> () (* Rio: sync returns immediately (§2.3). *)
-  | Rio_idle | Ufs_default | Ufs_delayed | Wt_close | Wt_write | Advfs ->
-    (* Rio_idle honors sync as a durability barrier: idle-trickled blocks
-       ride the write-behind pipeline and the barrier drains it, so the
-       cold-recovery contract ("synced data survives without warm reboot")
-       is checkable against the pipeline's orderings. *)
+  (* Rio's sync returns immediately (§2.3). Rio-idle honors sync as a
+     durability barrier: idle-trickled blocks ride the write-behind
+     pipeline and the barrier drains it, so the cold-recovery contract
+     ("synced data survives without warm reboot") is checkable against
+     the pipeline's orderings. *)
+  if t.rules.daemon then begin
     ignore (wb_flush_caches t);
     Disk.drain t.disk
+  end
 
 let unmount t =
   (* Administrative shutdown: even Rio writes everything back (§2.3 provides
      an administrator switch for exactly this). *)
-  ignore (Block_cache.flush_dirty t.data ~sync:false ());
-  ignore (Block_cache.flush_dirty t.meta ~sync:false ());
-  if t.policy <> Mfs then Disk.drain t.disk;
-  if t.policy <> Mfs then
+  flush_and_drain t;
+  if t.rules.disk then
     Disk.poke t.disk ~sector:Ondisk.superblock_sector
       (Ondisk.write_superblock { t.sb with Ondisk.clean = true });
   stop_daemon t
@@ -787,38 +846,67 @@ let crash t =
   Disk.crash t.disk;
   stop_daemon t
 
+(* ---------------- inode lifecycle ---------------- *)
+
+(* Allocate an inode of [ftype] and enter it as [base] in [dirino]. *)
+let new_inode t (dirino, base) ftype =
+  let ino = ialloc t in
+  let inode = Ondisk.empty_inode ftype in
+  inode.Ondisk.nlink <- 1;
+  inode.Ondisk.mtime <- Engine.now t.engine;
+  Hashtbl.replace t.icache ino inode;
+  iupdate t ino inode ~structural:true;
+  dir_add t dirino base ino;
+  ino
+
+(* Free [inode]'s blocks from file block [from] on, dropping each from the
+   cache that holds it (the buffer cache for a directory's). Returns
+   whether any block was freed. *)
+let free_blocks ?(from = 0) t inode =
+  let freed = ref false in
+  Array.iteri
+    (fun i ptr ->
+      if i >= from && ptr <> 0 then begin
+        (match inode.Ondisk.ftype with
+        | Directory ->
+          Block_cache.invalidate t.meta ~blkno:(sector_page_base (dir_block_sector t (ptr - 1)))
+        | Regular | Symlink -> Block_cache.invalidate t.data ~blkno:(ptr - 1));
+        bfree t (ptr - 1);
+        inode.Ondisk.blocks.(i) <- 0;
+        freed := true
+      end)
+    inode.Ondisk.blocks;
+  !freed
+
+(* Free an inode whose last name is gone, with its blocks. *)
+let release t ino inode =
+  ignore (free_blocks t inode : bool);
+  iclear t ino;
+  ifree t ino
+
+(* Drop one name of a non-directory; the last one releases it. *)
+let drop_link t ino inode =
+  if inode.Ondisk.nlink > 1 then begin
+    inode.Ondisk.nlink <- inode.Ondisk.nlink - 1;
+    iupdate t ino inode ~structural:true
+  end
+  else release t ino inode
+
 (* ---------------- file operations ---------------- *)
 
 let do_creat t path =
-  let dirino, base = namei_parent t path in
-  let dir = iget t dirino in
-  if dir.Ondisk.ftype <> Directory then err "%s: parent not a directory" path;
+  let dirino, dir, base = parent_dir t path in
   match dir_find t dir base with
   | Some existing ->
     let inode = iget t existing in
     if inode.Ondisk.ftype <> Regular then err "%s: exists and is a directory" path;
     (* Truncate. *)
-    Array.iteri
-      (fun i ptr ->
-        if ptr <> 0 then begin
-          Block_cache.invalidate t.data ~blkno:(ptr - 1);
-          bfree t (ptr - 1);
-          inode.Ondisk.blocks.(i) <- 0
-        end)
-      inode.Ondisk.blocks;
+    ignore (free_blocks t inode : bool);
     inode.Ondisk.size <- 0;
     inode.Ondisk.mtime <- Engine.now t.engine;
     iupdate t existing inode ~structural:true;
     existing
-  | None ->
-    let ino = ialloc t in
-    let inode = Ondisk.empty_inode Regular in
-    inode.Ondisk.nlink <- 1;
-    inode.Ondisk.mtime <- Engine.now t.engine;
-    Hashtbl.replace t.icache ino inode;
-    iupdate t ino inode ~structural:true;
-    dir_add t dirino base ino;
-    ino
+  | None -> new_inode t (dirino, base) Regular
 
 let create t path =
   charge_syscall t;
@@ -835,68 +923,49 @@ let fd_size t fd =
   let state = get_fd t fd in
   (iget t state.fd_ino).Ondisk.size
 
-let fd_ino t fd = (get_fd t fd).fd_ino
-
 let seek t fd pos =
   let state = get_fd t fd in
   if pos < 0 then err "seek: negative offset";
   state.pos <- pos
 
 let do_pwrite t state ~offset data =
+  if offset < 0 then err "write: negative offset";
   let ino = state.fd_ino in
   let inode = iget t ino in
   (* Symlink targets are written through this path by [symlink]; public
      file descriptors can only reach regular files. *)
   if inode.Ondisk.ftype = Directory then err "write: not a regular file";
   let len = Bytes.length data in
-  if len = 0 then ()
-  else begin
+  if len > 0 then begin
     if offset + len > ndirect * block_bytes then err "write: file would exceed maximum size";
     charge_copy t len;
     let old_size = inode.Ondisk.size in
     let new_size = max old_size (offset + len) in
-    let structural = ref false in
-    let pos = ref 0 in
-    while !pos < len do
-      let off = offset + !pos in
-      let bi = off / block_bytes in
-      let in_block = off mod block_bytes in
-      let chunk = min (len - !pos) (block_bytes - in_block) in
-      let whole = in_block = 0 && (chunk = block_bytes || off + chunk >= old_size) in
-      let fill = if whole then Block_cache.Zero else Block_cache.From_disk in
-      (match data_block t ino inode bi ~alloc:true ~fill with
-      | Some (entry, fresh) ->
-        if fresh then structural := true;
-        let paddr = entry.Block_cache.paddr + in_block in
-        t.hooks.Hooks.open_write ~paddr:entry.Block_cache.paddr;
-        t.hooks.Hooks.copy_in data !pos ~paddr ~len:chunk;
-        t.hooks.Hooks.close_write ~paddr:entry.Block_cache.paddr;
-        Block_cache.mark_dirty t.data entry;
-        let valid = min block_bytes (new_size - (bi * block_bytes)) in
-        Block_cache.set_valid t.data entry valid
-      | None -> assert false);
-      pos := !pos + chunk
-    done;
+    iter_blocks ~offset ~len (fun ~bi ~in_block ~pos ~chunk ->
+        let whole = in_block = 0 && (chunk = block_bytes || offset + pos + chunk >= old_size) in
+        let fill = if whole then Block_cache.Zero else Block_cache.From_disk in
+        match data_block t ino inode bi ~alloc:true ~fill with
+        | Some entry ->
+          store_data t entry ~valid:(min block_bytes (new_size - (bi * block_bytes)))
+            (fun page -> t.hooks.Hooks.copy_in data pos ~paddr:(page + in_block) ~len:chunk)
+        | None -> assert false);
     inode.Ondisk.size <- new_size;
     inode.Ondisk.mtime <- Engine.now t.engine;
     (* Block-allocation pointer updates are asynchronous in UFS (only
-       namespace operations are synchronous, Ganger94); [structural] is
-       noted but does not force a synchronous inode write here. *)
-    ignore !structural;
+       namespace operations are synchronous, Ganger94), so a write that
+       allocates still updates its inode the delayed way. *)
     iupdate t ino inode ~structural:false;
-    (* Per-policy data durability. *)
-    (match t.policy with
-    | Wt_write ->
-      flush_file_data t ino ~sync:true;
-      fsync_inode t ino
-    | Ufs_default | Wt_close | Advfs ->
+    (match t.rules.on_write with
+    | Sync -> force_file t ino
+    | Async ->
+      (* The cluster rule: flush after 64 KB or a non-sequential write. *)
       let sequential = offset = state.last_end in
       state.pending <- state.pending + len;
       if (not sequential) || state.pending >= 64 * 1024 then begin
         flush_file_data t ino ~sync:false;
         state.pending <- 0
       end
-    | Mfs | Ufs_delayed | Rio_policy | Rio_idle -> ());
+    | Never -> ());
     state.last_end <- offset + len
   end
 
@@ -926,137 +995,63 @@ let read t fd ~len =
 let fsync t fd =
   charge_syscall t;
   let state = get_fd t fd in
-  match t.policy with
-  | Rio_policy | Rio_idle | Mfs -> () (* fsync returns immediately (§2.3). *)
-  | Ufs_default | Ufs_delayed | Wt_close | Wt_write | Advfs ->
-    flush_file_data t state.fd_ino ~sync:true;
-    fsync_inode t state.fd_ino
+  (* Rio's fsync returns immediately (§2.3). *)
+  if not t.rules.trusts_memory then force_file t state.fd_ino
 
 let close t fd =
   charge_syscall t;
   let state = get_fd t fd in
-  (match t.policy with
-  | Wt_close ->
-    flush_file_data t state.fd_ino ~sync:true;
-    fsync_inode t state.fd_ino
-  | Ufs_default | Advfs ->
+  (match t.rules.on_close with
+  | Sync -> force_file t state.fd_ino
+  | Async ->
     (* BSD-style: delayed partial blocks go out (asynchronously) at close. *)
     flush_file_data t state.fd_ino ~sync:false
-  | Mfs | Ufs_delayed | Wt_write | Rio_policy | Rio_idle -> ());
+  | Never -> ());
   Hashtbl.remove t.fds fd
 
 (* ---------------- namespace operations ---------------- *)
 
 let mkdir t path =
   charge_syscall t;
-  let dirino, base = namei_parent t path in
-  let dir = iget t dirino in
-  if dir.Ondisk.ftype <> Directory then err "%s: parent not a directory" path;
-  if dir_find t dir base <> None then err "%s: already exists" path;
-  let ino = ialloc t in
-  let inode = Ondisk.empty_inode Directory in
-  inode.Ondisk.nlink <- 1;
-  inode.Ondisk.mtime <- Engine.now t.engine;
-  Hashtbl.replace t.icache ino inode;
-  iupdate t ino inode ~structural:true;
-  dir_add t dirino base ino
-
-let free_file_blocks t inode =
-  Array.iteri
-    (fun i ptr ->
-      if ptr <> 0 then begin
-        Block_cache.invalidate t.data ~blkno:(ptr - 1);
-        bfree t (ptr - 1);
-        inode.Ondisk.blocks.(i) <- 0
-      end)
-    inode.Ondisk.blocks
-
-let free_dir_blocks t inode =
-  Array.iteri
-    (fun i ptr ->
-      if ptr <> 0 then begin
-        Block_cache.invalidate t.meta ~blkno:(sector_page_base (dir_block_sector t (ptr - 1)));
-        bfree t (ptr - 1);
-        inode.Ondisk.blocks.(i) <- 0
-      end)
-    inode.Ondisk.blocks
+  ignore (new_inode t (free_name t path) Directory : int)
 
 let link t existing path =
   charge_syscall t;
   let ino = namei t existing in
   let inode = iget t ino in
   if inode.Ondisk.ftype = Directory then err "%s: hard links to directories are not allowed" path;
-  let dirino, base = namei_parent t path in
-  let dir = iget t dirino in
-  if dir.Ondisk.ftype <> Directory then err "%s: parent not a directory" path;
-  if dir_find t dir base <> None then err "%s: already exists" path;
+  let dirino, base = free_name t path in
   inode.Ondisk.nlink <- inode.Ondisk.nlink + 1;
   iupdate t ino inode ~structural:true;
   dir_add t dirino base ino
 
 let unlink t path =
   charge_syscall t;
-  let dirino, base = namei_parent t path in
-  let dir = iget t dirino in
-  let ino =
-    match dir_find t dir base with
-    | Some ino -> ino
-    | None -> err "%s: no such file" path
-  in
+  let dirino, base, ino = lookup t path ~missing:"file" in
   let inode = iget t ino in
   if inode.Ondisk.ftype = Directory then err "%s: is a directory (use rmdir)" path;
   dir_remove t dirino base;
-  if inode.Ondisk.nlink > 1 then begin
-    (* Other links remain: just drop the reference. *)
-    inode.Ondisk.nlink <- inode.Ondisk.nlink - 1;
-    iupdate t ino inode ~structural:true
-  end
-  else begin
-    free_file_blocks t inode;
-    iclear t ino;
-    ifree t ino
-  end
+  drop_link t ino inode
 
 let rmdir t path =
   charge_syscall t;
-  let dirino, base = namei_parent t path in
-  let dir = iget t dirino in
-  let ino =
-    match dir_find t dir base with
-    | Some ino -> ino
-    | None -> err "%s: no such directory" path
-  in
+  let dirino, base, ino = lookup t path ~missing:"directory" in
   let inode = iget t ino in
   if inode.Ondisk.ftype <> Directory then err "%s: not a directory" path;
   if dir_entries t inode <> [] then err "%s: directory not empty" path;
   dir_remove t dirino base;
-  free_dir_blocks t inode;
-  iclear t ino;
-  ifree t ino
+  release t ino inode
 
 let rename t src dst =
   charge_syscall t;
-  let sdir, sbase = namei_parent t src in
-  let ino =
-    match dir_find t (iget t sdir) sbase with
-    | Some ino -> ino
-    | None -> err "%s: no such file" src
-  in
+  let sdir, sbase, ino = lookup t src ~missing:"file" in
   let ddir, dbase = namei_parent t dst in
   (match dir_find t (iget t ddir) dbase with
   | Some existing ->
     let einode = iget t existing in
     if einode.Ondisk.ftype = Directory then err "%s: target exists and is a directory" dst;
     dir_remove t ddir dbase;
-    if einode.Ondisk.nlink > 1 then begin
-      einode.Ondisk.nlink <- einode.Ondisk.nlink - 1;
-      iupdate t existing einode ~structural:true
-    end
-    else begin
-      free_file_blocks t einode;
-      iclear t existing;
-      ifree t existing
-    end
+    drop_link t existing einode
   | None -> ());
   (* Crash atomicity: when source and destination share a directory and the
      renamed entry's block can absorb the name change, removal and insertion
@@ -1096,10 +1091,7 @@ let readdir t path =
   if inode.Ondisk.ftype <> Directory then err "%s: not a directory" path;
   List.sort compare (List.map fst (dir_entries t inode))
 
-let stat t path =
-  charge_syscall t;
-  let ino = namei t path in
-  let inode = iget t ino in
+let stat_of ino (inode : Ondisk.inode) =
   {
     st_ino = ino;
     st_ftype = inode.Ondisk.ftype;
@@ -1107,6 +1099,11 @@ let stat t path =
     st_nlink = inode.Ondisk.nlink;
     st_mtime = inode.Ondisk.mtime;
   }
+
+let stat t path =
+  charge_syscall t;
+  let ino = namei t path in
+  stat_of ino (iget t ino)
 
 let exists t path =
   match namei t path with
@@ -1155,17 +1152,7 @@ let symlink t ~target path =
   charge_syscall t;
   if String.length target = 0 || String.length target > ndirect * block_bytes then
     err "symlink: invalid target length";
-  let dirino, base = namei_parent t path in
-  let dir = iget t dirino in
-  if dir.Ondisk.ftype <> Directory then err "%s: parent not a directory" path;
-  if dir_find t dir base <> None then err "%s: already exists" path;
-  let ino = ialloc t in
-  let inode = Ondisk.empty_inode Symlink in
-  inode.Ondisk.nlink <- 1;
-  inode.Ondisk.mtime <- Engine.now t.engine;
-  Hashtbl.replace t.icache ino inode;
-  iupdate t ino inode ~structural:true;
-  dir_add t dirino base ino;
+  let ino = new_inode t (free_name t path) Symlink in
   (* The target string is the link's data (stored like file content, read
      through the cache as the paper's symlinks are). *)
   let state = { fd_ino = ino; pos = 0; last_end = 0; pending = 0 } in
@@ -1173,28 +1160,15 @@ let symlink t ~target path =
 
 let readlink t path =
   charge_syscall t;
-  let dirino, base = namei_parent t path in
-  match dir_find t (iget t dirino) base with
-  | None -> err "%s: no such file or directory" path
-  | Some ino ->
-    let inode = iget t ino in
-    if inode.Ondisk.ftype <> Symlink then err "%s: not a symbolic link" path;
-    Bytes.to_string (read_ino_data t ino ~offset:0 ~len:inode.Ondisk.size)
+  let _, _, ino = lookup t path ~missing:"file or directory" in
+  let inode = iget t ino in
+  if inode.Ondisk.ftype <> Symlink then err "%s: not a symbolic link" path;
+  Bytes.to_string (read_ino_data t ino ~offset:0 ~len:inode.Ondisk.size)
 
 let lstat t path =
   charge_syscall t;
-  let dirino, base = namei_parent t path in
-  match dir_find t (iget t dirino) base with
-  | None -> err "%s: no such file or directory" path
-  | Some ino ->
-    let inode = iget t ino in
-    {
-      st_ino = ino;
-      st_ftype = inode.Ondisk.ftype;
-      st_size = inode.Ondisk.size;
-      st_nlink = inode.Ondisk.nlink;
-      st_mtime = inode.Ondisk.mtime;
-    }
+  let _, _, ino = lookup t path ~missing:"file or directory" in
+  stat_of ino (iget t ino)
 
 (* ---------------- truncate ---------------- *)
 
@@ -1206,20 +1180,10 @@ let truncate t path new_size =
   if new_size < 0 || new_size > ndirect * block_bytes then err "truncate: size out of range";
   let old_size = inode.Ondisk.size in
   if new_size <> old_size then begin
-    let structural = ref false in
-    if new_size < old_size then begin
-      (* Free whole blocks beyond the new end. *)
-      let keep_blocks = (new_size + block_bytes - 1) / block_bytes in
-      Array.iteri
-        (fun i ptr ->
-          if i >= keep_blocks && ptr <> 0 then begin
-            Block_cache.invalidate t.data ~blkno:(ptr - 1);
-            bfree t (ptr - 1);
-            inode.Ondisk.blocks.(i) <- 0;
-            structural := true
-          end)
-        inode.Ondisk.blocks
-    end;
+    (* Free whole blocks beyond the new end. *)
+    let structural =
+      new_size < old_size && free_blocks ~from:((new_size + block_bytes - 1) / block_bytes) t inode
+    in
     (* Zero the boundary block's bytes past the kept size so later growth
        reveals zeros, not stale data. *)
     let keep = min new_size old_size in
@@ -1227,24 +1191,19 @@ let truncate t path new_size =
     let in_block = keep mod block_bytes in
     if in_block > 0 && bi < ndirect && inode.Ondisk.blocks.(bi) <> 0 then begin
       match data_block t ino inode bi ~alloc:false ~fill:Block_cache.From_disk with
-      | Some (entry, _) ->
-        t.hooks.Hooks.open_write ~paddr:entry.Block_cache.paddr;
-        Phys_mem.fill t.mem
-          (entry.Block_cache.paddr + in_block)
-          ~len:(block_bytes - in_block) '\000';
-        t.hooks.Hooks.close_write ~paddr:entry.Block_cache.paddr;
-        Block_cache.mark_dirty t.data entry;
-        Block_cache.set_valid t.data entry (min block_bytes (new_size - (bi * block_bytes)))
+      | Some entry ->
+        store_data t entry ~valid:(min block_bytes (new_size - (bi * block_bytes))) (fun page ->
+            Phys_mem.fill t.mem (page + in_block) ~len:(block_bytes - in_block) '\000')
       | None -> ()
     end;
     inode.Ondisk.size <- new_size;
     inode.Ondisk.mtime <- Engine.now t.engine;
-    iupdate t ino inode ~structural:!structural;
-    match t.policy with
-    | Wt_write | Wt_close ->
-      flush_file_data t ino ~sync:true;
-      fsync_inode t ino
-    | Mfs | Ufs_default | Ufs_delayed | Advfs | Rio_policy | Rio_idle -> ()
+    iupdate t ino inode ~structural;
+    (* A write-through file system forces the file, whichever call it
+       writes through on. *)
+    match (t.rules.on_write, t.rules.on_close) with
+    | Sync, _ | _, Sync -> force_file t ino
+    | (Never | Async), (Never | Async) -> ()
   end
 
 (* ---------------- warm-reboot restore ---------------- *)
@@ -1253,26 +1212,12 @@ let write_by_ino t ~ino ~offset data =
   let inode = iget t ino in
   if inode.Ondisk.ftype <> Regular then err "write_by_ino: inode %d not a regular file" ino;
   let len = min (Bytes.length data) (max 0 (inode.Ondisk.size - offset)) in
-  if len > 0 then begin
-    let pos = ref 0 in
-    while !pos < len do
-      let off = offset + !pos in
-      let bi = off / block_bytes in
-      let in_block = off mod block_bytes in
-      let chunk = min (len - !pos) (block_bytes - in_block) in
-      (match data_block t ino inode bi ~alloc:false ~fill:Block_cache.Zero with
-      | Some (entry, _) ->
-        let paddr = entry.Block_cache.paddr + in_block in
-        t.hooks.Hooks.open_write ~paddr:entry.Block_cache.paddr;
-        t.hooks.Hooks.copy_in data !pos ~paddr ~len:chunk;
-        t.hooks.Hooks.close_write ~paddr:entry.Block_cache.paddr;
-        Block_cache.mark_dirty t.data entry;
-        let valid = min block_bytes (inode.Ondisk.size - (bi * block_bytes)) in
-        Block_cache.set_valid t.data entry valid
-      | None -> () (* hole: nothing to restore *));
-      pos := !pos + chunk
-    done
-  end
+  iter_blocks ~offset ~len (fun ~bi ~in_block ~pos ~chunk ->
+      match data_block t ino inode bi ~alloc:false ~fill:Block_cache.Zero with
+      | Some entry ->
+        store_data t entry ~valid:(min block_bytes (inode.Ondisk.size - (bi * block_bytes)))
+          (fun page -> t.hooks.Hooks.copy_in data pos ~paddr:(page + in_block) ~len:chunk)
+      | None -> () (* hole: nothing to restore *))
 
 (* ---------------- world-template rewind ---------------- *)
 

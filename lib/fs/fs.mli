@@ -10,30 +10,60 @@
     Every operation charges simulated time: system-call overhead, pathname
     lookup, memory copies, and whatever disk traffic the policy incurs. *)
 
+(** Table 2's file systems, by their {!policy_name} labels. What each one
+    does is its {!rules} record; DESIGN §4 tabulates all eight. *)
 type policy =
-  | Mfs  (** Memory File System: no disk I/O at all (the speed ceiling). *)
-  | Ufs_default
-      (** Digital Unix UFS: asynchronous data after 64 KB clusters /
-          non-sequential writes / the update daemon; {e synchronous}
-          metadata (inodes, directories). *)
-  | Ufs_delayed
-      (** The "no-order" optimization: all data and metadata delayed until
-          the next update run — risks 30 s of both. *)
-  | Wt_close  (** UFS + fsync on every close. *)
-  | Wt_write  (** UFS + synchronous data on every write (Rio's reliability peer). *)
-  | Advfs  (** Asynchronous data; metadata journaled sequentially. *)
-  | Rio_policy
-      (** No reliability-induced writes: disk traffic only on cache
-          overflow. fsync and sync return immediately (§2.3). *)
-  | Rio_idle
-      (** The paper's future-work variant (§2.3): reliability-wise
-          identical to {!Rio_policy}, but the update daemon trickles dirty
-          blocks to disk during idle periods so later evictions rarely
-          stall on a synchronous write-back. *)
+  | Mfs  (** memory-fs *)
+  | Ufs_default  (** ufs *)
+  | Ufs_delayed  (** ufs-delayed *)
+  | Wt_close  (** wt-close *)
+  | Wt_write  (** wt-write *)
+  | Advfs  (** advfs *)
+  | Rio_policy  (** rio *)
+  | Rio_idle  (** rio-idle, the §2.3 future-work variant *)
 
 val policy_name : policy -> string
 
 val all_policies : policy list
+
+(** {1 Durability rules} *)
+
+(** How a metadata update reaches the disk. *)
+type meta_write =
+  | Delayed  (** With the next write-back of its block. *)
+  | Sync
+      (** Inode and directory updates are written synchronously; bitmaps,
+          the superblock, and size and time bumps are delayed. *)
+  | Journal
+      (** Inode, directory and superblock updates are appended to the
+          log; the blocks follow at the log's checkpoint. *)
+
+(** When a file's data is flushed. *)
+type flush =
+  | Never  (** Only by the update daemon, [sync], or cache pressure. *)
+  | Async
+      (** Queued without waiting: at a write, after 64 KB of sequential
+          writes or at a non-sequential one; at a close, every time. *)
+  | Sync  (** Data, then inode, on the platter before the call returns. *)
+
+type rules = private {
+  disk : bool;  (** Backed by a disk; false only for memory-fs. *)
+  meta : meta_write;  (** Inode, directory and superblock updates. *)
+  on_write : flush;  (** Data flush at [write]/[pwrite]. *)
+  on_close : flush;  (** Data flush at [close]. *)
+  daemon : bool;
+      (** The update daemon runs, and [sync] flushes both caches and
+          drains the disk. *)
+  trusts_memory : bool;
+      (** Memory is durable: [fsync] returns at once, a panic writes no
+          dirty buffer back, and Table 2's timed run starts warm. *)
+}
+(** [truncate] forces the file when [on_write] or [on_close] is [Sync]. *)
+
+val rules : policy -> rules
+(** UFS is [{disk; meta = Sync; on_write = Async; on_close = Async;
+    daemon; trusts_memory = false}]; every other policy is a record
+    update of it or of Rio (DESIGN §4). *)
 
 (** {1 Formatting and mounting} *)
 
@@ -46,7 +76,7 @@ type geometry = {
 
 val default_geometry : disk_sectors:int -> mem_bytes:int -> geometry
 (** Swap sized to hold all of physical memory (for the warm-reboot dump),
-    1 MB of journal, 1 inode per 4 data blocks. *)
+    1 MB of journal, 1 inode per data block. *)
 
 val mkfs : disk:Rio_disk.Disk.t -> geometry -> unit
 (** Format: superblock, empty bitmaps, free inode table, empty root
@@ -89,15 +119,8 @@ val crash : t -> unit
 
 val engine : t -> Rio_sim.Engine.t
 val policy : t -> policy
-val hooks : t -> Hooks.t
-val superblock : t -> Ondisk.superblock
-val disk : t -> Rio_disk.Disk.t
 val meta_cache : t -> Block_cache.t
 val data_cache : t -> Block_cache.t
-
-val write_behind : t -> Write_behind.t option
-(** The asynchronous write-behind pipeline ([None] for the disk-less
-    Memory File System). *)
 
 (** {1 Files} *)
 
@@ -126,6 +149,7 @@ val write : t -> fd -> bytes -> unit
 (** Write at the cursor, advancing it. *)
 
 val pread : t -> fd -> offset:int -> len:int -> bytes
+(** Raises {!Fs_types.Fs_error} on a negative offset, like [pwrite]. *)
 
 val pwrite : t -> fd -> offset:int -> bytes -> unit
 
@@ -134,8 +158,6 @@ val seek : t -> fd -> int -> unit
 val fsync : t -> fd -> unit
 
 val fd_size : t -> fd -> int
-
-val fd_ino : t -> fd -> int
 
 (** {1 Namespace} *)
 
@@ -170,9 +192,10 @@ val lstat : t -> string -> stat
 val exists : t -> string -> bool
 
 val sync : t -> unit
-(** Durability barrier: flush both caches through the write-behind
-    pipeline and drain the disk. Immediate no-op under Rio (§2.3) and
-    MFS; Rio_idle honors it so idle-trickled write-behind is checkable. *)
+(** Durability barrier where {!rules}' [daemon] holds: flush both caches
+    through the write-behind pipeline and drain the disk. An immediate
+    no-op under Rio (§2.3) and MFS; rio-idle honors it so idle-trickled
+    write-behind is checkable. *)
 
 val symlink : t -> target:string -> string -> unit
 (** Create a symbolic link at the path pointing at [target] (absolute or

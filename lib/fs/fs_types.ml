@@ -19,7 +19,3 @@ exception Fs_error of string
 
 let err fmt = Printf.ksprintf (fun s -> raise (Fs_error s)) fmt
 
-let ftype_name = function
-  | Regular -> "regular"
-  | Directory -> "directory"
-  | Symlink -> "symlink"

@@ -36,5 +36,3 @@ exception Fs_error of string
 
 val err : ('a, unit, string, 'b) format4 -> 'a
 (** [err fmt ...] raises {!Fs_error}. *)
-
-val ftype_name : ftype -> string

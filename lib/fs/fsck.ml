@@ -8,14 +8,6 @@ type report = {
 
 let clean r = r.repairs = [] && not r.unrecoverable
 
-let pp_report ppf r =
-  if r.unrecoverable then Format.fprintf ppf "fsck: volume unrecoverable"
-  else if r.repairs = [] then Format.fprintf ppf "fsck: clean"
-  else begin
-    Format.fprintf ppf "fsck: %d repairs:@." (List.length r.repairs);
-    List.iter (fun s -> Format.fprintf ppf "  %s@." s) r.repairs
-  end
-
 (* Bitmap helpers over a byte array (one bit per object). *)
 let bit_get bm i = Char.code (Bytes.get bm (i / 8)) land (1 lsl (i mod 8)) <> 0
 

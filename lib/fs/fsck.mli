@@ -21,5 +21,3 @@ val run : disk:Rio_disk.Disk.t -> report
 
 val clean : report -> bool
 (** No repairs and recoverable. *)
-
-val pp_report : Format.formatter -> report -> unit

@@ -11,8 +11,6 @@ type t = {
   sectors : int;
   mutable head : int; (* next free sector offset within the log *)
   mutable seq : int;
-  mutable records : int;
-  mutable bytes : int;
   mutable on_checkpoint : unit -> unit;
   mutable on_event : label:string -> unit;
   buffer : Buffer.t; (* group-commit staging *)
@@ -21,7 +19,7 @@ type t = {
 let group_commit_bytes = 64 * 1024
 
 let create ~disk ~start_sector ~sectors =
-  { disk; start_sector; sectors; head = 0; seq = 0; records = 0; bytes = 0;
+  { disk; start_sector; sectors; head = 0; seq = 0;
     on_checkpoint = (fun () -> ()); on_event = (fun ~label:_ -> ());
     buffer = Buffer.create 4096 }
 
@@ -77,26 +75,17 @@ let append t ~sector payload =
     Fs_types.err "journal: record larger than the whole log";
   Buffer.add_bytes t.buffer record;
   t.seq <- t.seq + 1;
-  t.records <- t.records + 1;
-  t.bytes <- t.bytes + Bytes.length record;
   if Buffer.length t.buffer >= group_commit_bytes then flush_group t
-
-let records_logged t = t.records
-let bytes_logged t = t.bytes
 
 (* ---- world-template rewind ---- *)
 
-type state = { ck_head : int; ck_seq : int; ck_records : int; ck_bytes : int; ck_buf : string }
+type state = { ck_head : int; ck_seq : int; ck_buf : string }
 
-let save t =
-  { ck_head = t.head; ck_seq = t.seq; ck_records = t.records; ck_bytes = t.bytes;
-    ck_buf = Buffer.contents t.buffer }
+let save t = { ck_head = t.head; ck_seq = t.seq; ck_buf = Buffer.contents t.buffer }
 
 let restore t ck =
   t.head <- ck.ck_head;
   t.seq <- ck.ck_seq;
-  t.records <- ck.ck_records;
-  t.bytes <- ck.ck_bytes;
   Buffer.clear t.buffer;
   Buffer.add_string t.buffer ck.ck_buf
 

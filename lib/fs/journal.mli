@@ -33,10 +33,6 @@ val checkpoint : t -> unit
 (** Flush callback + reset the log head (also called by the update
     daemon). *)
 
-val records_logged : t -> int
-
-val bytes_logged : t -> int
-
 val replay : disk:Rio_disk.Disk.t -> start_sector:int -> sectors:int -> int
 (** Scan the log on the (post-crash) disk and apply every complete,
     checksummed record to its home sector. Returns the number of records
@@ -47,7 +43,7 @@ val replay : disk:Rio_disk.Disk.t -> start_sector:int -> sectors:int -> int
 type state
 
 val save : t -> state
-(** Capture the log cursor, counters, and staged group-commit bytes. *)
+(** Capture the log cursor, sequence number and staged group-commit bytes. *)
 
 val restore : t -> state -> unit
 (** Rewind to a captured {!save} of the same journal. *)

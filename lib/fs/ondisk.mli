@@ -23,8 +23,6 @@ type superblock = {
   clean : bool;  (** Unmounted cleanly (fsck fast-path). *)
 }
 
-val magic : int
-
 val superblock_sector : int
 (** 0. *)
 

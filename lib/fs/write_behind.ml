@@ -27,21 +27,15 @@ type t = {
   unordered : bool;
   mutable queue : seg list; (* newest first; staging order = reversed *)
   mutable held : seg list; (* ablation only: carried over to the next flush *)
-  mutable staged : int;
-  mutable segments : int;
-  mutable batches : int;
 }
 
 let create ~disk ~hooks ~unordered =
-  { disk; hooks; unordered; queue = []; held = []; staged = 0; segments = 0; batches = 0 }
-
-let unordered t = t.unordered
+  { disk; hooks; unordered; queue = []; held = [] }
 
 let stage t ~sector data =
   let count = (Bytes.length data + Disk.sector_bytes - 1) / Disk.sector_bytes in
   t.hooks.Hooks.wb_event ~label:(Printf.sprintf "wb-queue s%d x%d" sector count);
-  t.queue <- { ws_sector = sector; ws_data = data } :: t.queue;
-  t.staged <- t.staged + 1
+  t.queue <- { ws_sector = sector; ws_data = data } :: t.queue
 
 (* Merge adjacent-sector runs, preserving staging order. The caches flush
    in block order, so sequential file data arrives as mergeable runs. *)
@@ -73,8 +67,6 @@ let coalesce segs =
   in
   List.rev (flush_run acc run)
 
-let pending t = List.length t.queue + List.length t.held
-
 let flush t =
   let staged = List.rev t.queue in
   t.queue <- [];
@@ -101,34 +93,17 @@ let flush t =
       to_write;
     let n = List.length to_write in
     t.hooks.Hooks.wb_event ~label:(Printf.sprintf "wb-commit batch n%d" n);
-    t.segments <- t.segments + n;
-    t.batches <- t.batches + 1;
     n
 
 (* ---- world-template rewind ---- *)
 
-type state = {
-  st_queue : seg list;
-  st_held : seg list;
-  st_staged : int;
-  st_segments : int;
-  st_batches : int;
-}
+type state = { st_queue : seg list; st_held : seg list }
 
 let copy_seg s = { s with ws_data = Bytes.copy s.ws_data }
 
 let save t =
-  {
-    st_queue = List.map copy_seg t.queue;
-    st_held = List.map copy_seg t.held;
-    st_staged = t.staged;
-    st_segments = t.segments;
-    st_batches = t.batches;
-  }
+  { st_queue = List.map copy_seg t.queue; st_held = List.map copy_seg t.held }
 
 let restore t st =
   t.queue <- List.map copy_seg st.st_queue;
-  t.held <- List.map copy_seg st.st_held;
-  t.staged <- st.st_staged;
-  t.segments <- st.st_segments;
-  t.batches <- st.st_batches
+  t.held <- List.map copy_seg st.st_held

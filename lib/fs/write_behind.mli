@@ -21,8 +21,6 @@ val create : disk:Rio_disk.Disk.t -> hooks:Hooks.t -> unordered:bool -> t
     a sync that triggered the flush returns with that segment not yet —
     possibly never — durable. For the fuzzer's ablation matrix only. *)
 
-val unordered : t -> bool
-
 val stage : t -> sector:int -> bytes -> unit
 (** Queue one block's payload (whole sectors, ownership transferred). *)
 
@@ -30,9 +28,6 @@ val flush : t -> int
 (** Coalesce and issue everything staged as asynchronous backend writes;
     returns the number of segments issued. Durability additionally needs
     [Disk.drain] (sync path) — flush alone only hands the batch off. *)
-
-val pending : t -> int
-(** Staged (plus ablation-held) segments not yet issued. *)
 
 (** {1 World-template rewind} *)
 

@@ -136,12 +136,13 @@ let pick_boundary prng ~prefer labels =
 let fuzz_one ~spec ~world_seed ~max_ops ~prefer ~with_cov ~prng_seed =
   let prng = Prng.create ~seed:prng_seed in
   let nops = 1 + Prng.int prng max_ops in
-  (* Under the idle write-back policy the [Sync] barrier is meaningful
-     (it drains the write-behind pipeline), and the cold-recovery specs
-     need it in programs — it is what they owe anything to. Elsewhere it
-     stays off so fixed-seed programs are unchanged. *)
+  (* Where the policy honors it (idle write-back), the [Sync] barrier is
+     meaningful (it drains the write-behind pipeline), and the
+     cold-recovery specs need it in programs — it is what they owe
+     anything to. Elsewhere it stays off so fixed-seed programs are
+     unchanged. *)
   let gspec =
-    if spec.Explorer.policy = Fs.Rio_idle then { Program.gen_spec with Gen.sync = true }
+    if (Fs.rules spec.Explorer.policy).Fs.daemon then { Program.gen_spec with Gen.sync = true }
     else Program.gen_spec
   in
   let ops = Gen.generate ~prng gspec ~ops:nops in

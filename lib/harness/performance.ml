@@ -72,10 +72,7 @@ let measure_workload ?backend config ~scale ~seed workload =
     (* Disk-backed systems start the timed run cold (the paper's tree was
        not sitting in the file cache); memory-resident systems (MFS, Rio)
        by construction keep it in memory. *)
-    (match config.policy with
-    | Fs.Mfs | Fs.Rio_policy | Fs.Rio_idle -> ()
-    | Fs.Ufs_default | Fs.Ufs_delayed | Fs.Wt_close | Fs.Wt_write | Fs.Advfs ->
-      Fs.remount_cold fs);
+    if not (Fs.rules config.policy).Fs.trusts_memory then Fs.remount_cold fs;
     let t0 = Engine.now engine in
     Cp_rm.run_cp w fs;
     let t_cp = Engine.now engine in

@@ -93,8 +93,6 @@ let kprogs t = t.kprogs
 let heap t = t.heap
 let hooks t = t.hooks
 let pool_alloc t = t.pool_alloc
-let meta_alloc t = t.meta_alloc
-let prng t = t.prng
 let owned_pool_pages t = t.owned_pages
 let overrun_filecache_bytes t = t.overrun_filecache_bytes
 let fs t = t.fs
@@ -672,29 +670,26 @@ let crash_system t info =
       (Trace.Crash { message = Kcrash.message_of info; during = info.Kcrash.during });
   (match t.fs with
   | Some fs ->
-    (match Fs.policy fs with
-    | Fs.Rio_policy | Fs.Rio_idle ->
-      (* Rio's panic is modified to NOT write dirty data back (§2.3). *)
-      ()
-    | Fs.Mfs -> ()
-    | Fs.Ufs_default | Fs.Ufs_delayed | Fs.Wt_close | Fs.Wt_write | Fs.Advfs ->
-      (* The default panic tries to push dirty buffers out — including any
-         corrupted ones, which is how memory corruption reaches disk. Give
-         the queue a moment, then cut the power to the I/O subsystem.
-         Record how much each flush actually pushed: these counts are what
-         lets forensics attribute corruption that PROPAGATED through the
-         panic path rather than preceding it. Only a file-system error
-         may cut the flush short: anything else is a simulator bug and
-         must reach the report. *)
-      (try
-         let data = Rio_fs.Block_cache.flush_dirty (Fs.data_cache fs) ~sync:false () in
-         let meta = Rio_fs.Block_cache.flush_dirty (Fs.meta_cache fs) ~sync:false () in
-         t.crash_flushed_data <- t.crash_flushed_data + data;
-         t.crash_flushed_meta <- t.crash_flushed_meta + meta;
-         if Trace.enabled t.obs then
-           Trace.emit t.obs Trace.Kernel (Trace.Crash_flush { data; meta });
-         Engine.advance_by t.engine (Rio_util.Units.msec 200)
-       with Rio_fs.Fs_types.Fs_error _ -> ()));
+    (* Rio's panic is modified to NOT write dirty data back (§2.3). The
+       default panic tries to push dirty buffers out — including any
+       corrupted ones, which is how memory corruption reaches disk. Give
+       the queue a moment, then cut the power to the I/O subsystem.
+       Record how much each flush actually pushed: these counts are what
+       lets forensics attribute corruption that PROPAGATED through the
+       panic path rather than preceding it. Only a file-system error may
+       cut the flush short: anything else is a simulator bug and must
+       reach the report. *)
+    if not (Fs.rules (Fs.policy fs)).Fs.trusts_memory then begin
+      try
+        let data = Rio_fs.Block_cache.flush_dirty (Fs.data_cache fs) ~sync:false () in
+        let meta = Rio_fs.Block_cache.flush_dirty (Fs.meta_cache fs) ~sync:false () in
+        t.crash_flushed_data <- t.crash_flushed_data + data;
+        t.crash_flushed_meta <- t.crash_flushed_meta + meta;
+        if Trace.enabled t.obs then
+          Trace.emit t.obs Trace.Kernel (Trace.Crash_flush { data; meta });
+        Engine.advance_by t.engine (Rio_util.Units.msec 200)
+      with Rio_fs.Fs_types.Fs_error _ -> ()
+    end;
     Fs.crash fs
   | None -> Disk.crash t.disk);
   t.fs <- None

@@ -75,8 +75,6 @@ val kprogs : t -> Rio_kasm.Kprogs.t
 val heap : t -> Kheap.t
 val hooks : t -> Rio_fs.Hooks.t
 val pool_alloc : t -> Rio_mem.Page_alloc.t
-val meta_alloc : t -> Rio_mem.Page_alloc.t
-val prng : t -> Rio_util.Prng.t
 
 val owned_pool_pages : t -> int list
 (** Pool pages currently held as kernel buffers (not file cache). *)
@@ -122,9 +120,6 @@ val arm_sync_fault : t -> period:int -> unit
 val disarm_faults : t -> unit
 
 (** {1 Crash lifecycle} *)
-
-val crash_now : t -> Kcrash.cause -> during:string -> 'a
-(** Raise {!Kcrash.Crashed} stamped with the current simulated time. *)
 
 val crash_system : t -> Kcrash.info -> unit
 (** Handle a caught crash: record it, run the panic path (non-Rio policies

@@ -322,6 +322,40 @@ let test_max_file_size () =
         (Fs_types.Fs_error "write: file would exceed maximum size") (fun () ->
           Fs.pwrite fs fd ~offset:(96 * 8192) (Bytes.of_string "x")))
 
+(* A negative offset is refused before any byte moves. It used to land
+   in the byte before the file's page, outside the page's write window,
+   where Rio's protection never saw it. *)
+let test_negative_offsets () =
+  List.iter
+    (fun (rio, policy) ->
+      let w = Rio_world.World.create ~rio ~protection:true ~policy ~seed:21 () in
+      let fs = Rio_world.World.fs w and mem = Rio_world.World.mem w in
+      let contents = Pattern.fill ~seed:4 ~len:3000 in
+      Fs.write_file fs "/f" contents;
+      let fd = Fs.open_file fs "/f" in
+      let page = ref None in
+      Block_cache.iter (Fs.data_cache fs) (fun e ->
+          match e.Block_cache.owner with
+          | Fs_types.Data { offset = 0; _ } -> page := Some e.Block_cache.paddr
+          | Fs_types.Data _ | Fs_types.Meta -> ());
+      let before = Phys_mem.read_u8 mem (Option.get !page - 1) in
+      let refused what f =
+        check Alcotest.bool (Fs.policy_name policy ^ ": " ^ what) true
+          (match f () with _ -> false | exception Fs_types.Fs_error _ -> true)
+      in
+      List.iter
+        (fun offset ->
+          refused "pwrite" (fun () -> Fs.pwrite fs fd ~offset (Bytes.of_string "XY"));
+          refused "pread" (fun () -> Fs.pread fs fd ~offset ~len:2);
+          refused "Syscall pwrite" (fun () ->
+              Fs.Syscall.run fs (Fs.Syscall.Pwrite { fd; offset; data = Bytes.of_string "XY" })))
+        [ -1; -8193 ];
+      check Alcotest.bytes "file unchanged" contents (Fs.read_file fs "/f");
+      check Alcotest.int "byte before the page unchanged" before
+        (Phys_mem.read_u8 mem (Option.get !page - 1));
+      Rio_world.World.dispose w)
+    [ (false, Fs.Ufs_default); (true, Fs.Rio_policy) ]
+
 let test_missing_file () =
   with_fs Fs.Ufs_default (fun _ fs ->
       Alcotest.check_raises "no such file"
@@ -984,6 +1018,7 @@ let () =
           Alcotest.test_case "cursor" `Quick test_cursor_semantics;
           Alcotest.test_case "create truncates" `Quick test_create_truncates;
           Alcotest.test_case "max file size" `Quick test_max_file_size;
+          Alcotest.test_case "negative offsets" `Quick test_negative_offsets;
           Alcotest.test_case "missing file" `Quick test_missing_file;
         ] );
       ( "namespace",

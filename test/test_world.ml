@@ -97,7 +97,7 @@ let test_freeze_restore_guards () =
 let gen_ops ~(spec : Explorer.spec) ~seed ~nops =
   let prng = Prng.create ~seed in
   let gspec =
-    if spec.Explorer.policy = Fs.Rio_idle then { Program.gen_spec with Gen.sync = true }
+    if (Fs.rules spec.Explorer.policy).Fs.daemon then { Program.gen_spec with Gen.sync = true }
     else Program.gen_spec
   in
   Gen.generate ~prng gspec ~ops:nops
