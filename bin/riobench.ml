@@ -8,6 +8,7 @@
 module Reliability = Rio_harness.Reliability
 module Run = Rio_harness.Run
 module Explorer = Rio_check.Explorer
+module Fuzzer = Rio_fuzz.Fuzzer
 module Performance = Rio_harness.Performance
 module Ablation = Rio_harness.Ablation
 module Progress = Rio_harness.Progress
@@ -503,9 +504,9 @@ let scenario_arg =
     & info [ "scenario" ] ~docv:"SLUG"
         ~doc:
           (Printf.sprintf
-             "Restrict to one scenario (repeatable): %s. Default: all of them."
-             (String.concat ", "
-                (List.map (fun s -> s.Rio_check.Scenario.slug) Rio_check.Scenario.all))))
+             "Restrict to one scenario (repeatable): %s. Default: all of them; \
+              two-task runs only with --interleave."
+             (String.concat ", " (List.map (fun sc -> sc.Fuzzer.slug) Fuzzer.scenarios))))
 
 let matrix_arg =
   Arg.(
@@ -532,13 +533,11 @@ let interleave_arg =
           "Also explore $(docv) deterministic task interleavings of each \
            multi-task scenario: every crash point of every interleaving is \
            enumerated, reported under the slug <scenario>#i<j>. 0 (the \
-           default) keeps the single-task campaign unchanged. Ignored with \
-           --matrix.")
+           default) runs no multi-task scenario. Ignored with --matrix.")
 
 let run_check seed jobs backend scenarios matrix interleave json coverage ring reference
     verbose =
   set_fastpath ~reference;
-  let only = match scenarios with [] -> None | slugs -> Some slugs in
   let json_out = open_json_sink json in
   let cfg =
     with_obs ~ring
@@ -554,10 +553,13 @@ let run_check seed jobs backend scenarios matrix interleave json coverage ring r
   in
   match
     let t0 = Unix.gettimeofday () in
+    let scenarios =
+      match scenarios with [] -> None | slugs -> Some (List.map Fuzzer.scenario slugs)
+    in
     if matrix then begin
       Printf.printf "Exhaustive crash-schedule check, configuration matrix (seed %d)\n\n%!"
         seed;
-      let entries = Explorer.run_matrix ?only cfg in
+      let entries = Fuzzer.explore_matrix ?scenarios cfg in
       let wall_s = Unix.gettimeofday () -. t0 in
       print_string (Explorer.render_matrix entries);
       if coverage then
@@ -578,7 +580,8 @@ let run_check seed jobs backend scenarios matrix interleave json coverage ring r
       Printf.printf "Exhaustive crash-schedule check (seed %d, backend %s)\n\n%!" seed
         (Rio_disk.Backend.to_string backend);
       let report =
-        Explorer.run ~spec:{ Explorer.rio_prot with Explorer.backend } ?only ~interleave cfg
+        Fuzzer.explore ~spec:{ Explorer.rio_prot with Explorer.backend } ?scenarios ~interleave
+          cfg
       in
       let wall_s = Unix.gettimeofday () -. t0 in
       print_string (Explorer.render report);
@@ -623,7 +626,7 @@ let trials_arg =
 let max_ops_arg =
   Arg.(
     value
-    & opt int Rio_fuzz.Fuzzer.default_max_ops
+    & opt int Fuzzer.default_max_ops
     & info [ "max-ops" ] ~docv:"K" ~doc:"Maximum operations per generated program.")
 
 let config_arg =
@@ -698,7 +701,6 @@ let exit_on_verdict ~ok ~expect_safe config =
 let run_fuzz trials max_ops seed jobs backend config tasks matrix json coverage ring reference
     verbose =
   set_fastpath ~reference;
-  let module Fuzzer = Rio_fuzz.Fuzzer in
   if trials <= 0 || max_ops <= 0 then begin
     Printf.eprintf "riobench: --trials and --max-ops must be positive\n%!";
     exit 2
@@ -845,7 +847,6 @@ let run_cov only require_full json config trials max_ops seed jobs backend ring 
     Printf.eprintf "riobench: --trials and --max-ops must be positive\n%!";
     exit 2
   end;
-  let module Fuzzer = Rio_fuzz.Fuzzer in
   let spec = { (find_spec config ~cmd:"cov") with Explorer.backend } in
   let json_out = open_json_sink (Some json) in
   let cfg =
@@ -864,7 +865,7 @@ let run_cov only require_full json config trials max_ops seed jobs backend ring 
   let check_report =
     match only with
     | `Fuzz -> None
-    | `Check | `All -> Some (or_exit_2 (fun () -> Explorer.run ~spec cfg))
+    | `Check | `All -> Some (or_exit_2 (fun () -> Fuzzer.explore ~spec cfg))
   in
   Printf.printf "Crash-space coverage, %s (seed %d)\n\n%!" config seed;
   Option.iter
@@ -1040,7 +1041,6 @@ let restore_probe ~seed ~iters =
   (wall, pages)
 
 let fuzz_probe ~seed ~trials =
-  let module Fuzzer = Rio_fuzz.Fuzzer in
   let cfg = { Run.default with Run.seed = seed; trials; domains = 1 } in
   time (fun () ->
       ignore (Fuzzer.run ~spec:Explorer.rio_prot ~max_ops:Fuzzer.default_max_ops cfg))

@@ -1,19 +1,15 @@
-(** The crash-schedule explorer: checking instead of sampling.
+(** The crash-check catalogue and report format: the configurations
+    under test, and how an exhaustive crash-schedule check reports.
 
-    The paper's reliability numbers come from {e sampling} crash times
-    (§3.1). The explorer instead runs each {!Scenario} once to {e count}
-    its crash boundaries, then re-runs it once per boundary — identical
-    seed, fresh world — crashing exactly there, warm-rebooting (memory
-    restore + fsck), and auditing the recovered file system. Every
-    reachable crash schedule of the scripted operation is checked; zero
-    violations is a proof over the enumeration, not a statistical
-    estimate.
-
-    Trials shard across domains via {!Rio_parallel.Pool} and merge in
-    boundary order, so {!render} output is byte-identical at any
-    [domains]. Violations are re-run with the flight recorder live and
-    reported as minimal counterexample narratives
-    ({!Rio_obs.Forensics}). *)
+    The explorer itself is {!Rio_fuzz.Fuzzer.explore}: it crashes each
+    scenario — a fixed fuzz program over the fuzzer's world — at every
+    boundary of its schedule and audits the recovery through the one
+    crash contract, {!Rio_fuzz.Program.check}. This module names the
+    specs every crash harness runs under ({!rio_prot} and its
+    ablations), and holds the explorer's report types, renderers, JSON
+    and pass/fail verdicts. Zero violations is a proof over the
+    enumeration, not a statistical estimate; reports render
+    byte-identically at any [domains]. *)
 
 (** The Rio configuration under test ({!Trial.spec}). The two unsafe
     configurations exist to validate the checker itself: a checker that
@@ -56,15 +52,16 @@ val fuzz_specs : spec list
     {!wb_order}) — the fuzzer's default matrix. *)
 
 type violation = {
-  ordinal : int;  (** Which crash point (index into the boundary order). *)
+  ordinal : int;
+      (** Which crash point (index into the boundary order); [-1] for the
+          final-state audit of a multi-task count pass (no crash). *)
   label : string;  (** The boundary's stable label. *)
-  problems : string list;  (** What {!Scenario.check} found. *)
+  problems : string list;  (** What the audit ({!Rio_fuzz.Program}) found. *)
   narrative : string list;  (** Forensics counterexample (re-run, traced). *)
 }
 
 type scenario_result = {
-  slug : string;
-  name : string;
+  slug : string;  (** The scenario's slug, ["<slug>#i<j>"] per interleaving. *)
   crash_points : int;
   violations : violation list;
 }
@@ -78,24 +75,6 @@ type report = {
           (class, scenario, ordinal-bucket) cell. Deterministic at any
           [domains]. *)
 }
-
-val run :
-  ?spec:spec -> ?only:string list -> ?interleave:int -> Rio_harness.Run.config -> report
-(** Explore every crash point of every scenario (or just the [only]
-    slugs). Uses [config.seed], [config.domains], and [config.coverage];
-    [trials] and [scale] are ignored — the schedule is exhaustive, not
-    sampled. Raises [Invalid_argument] on an unknown slug, and on a
-    [cold] spec: the scenario checks audit warm recovery only.
-
-    With [interleave = n > 0], each multi-task scenario
-    ({!Scenario.multis}) additionally contributes [n] jobs — one per
-    deterministic scheduler seed, reported under the slug
-    ["<slug>#i<j>"] — exploring the cross product of task interleavings
-    and crash points. Crash-point enumeration within a job is exhaustive
-    as always; the interleavings are sampled by seed. Coverage cells from
-    multi jobs carry the ["crasher"] task role when the crash landed
-    inside a task's syscall ([solo] otherwise), feeding the task axis of
-    {!Rio_cov.Heatmap}. Default [0]: no multi jobs, output unchanged. *)
 
 val crash_points : report -> int
 val violation_count : report -> int
@@ -125,9 +104,6 @@ type matrix_entry = {
   entry_report : report;
   ok : bool;  (** {!report_ok}. *)
 }
-
-val run_matrix :
-  ?specs:spec list -> ?only:string list -> Rio_harness.Run.config -> matrix_entry list
 
 val matrix_ok : matrix_entry list -> bool
 

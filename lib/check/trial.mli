@@ -8,8 +8,12 @@
     crashes the world, puts the captured image back, recovers (a warm
     reboot on the surviving memory, or fsck and a cold reboot on the disk
     alone, both through {!Rio_world.World}) and audits the recovered file
-    system. The explorer, the fuzzer and the multi-task fuzzer differ only
-    in their payload and their armed body.
+    system. Its only callers are the fuzzer's two attempts,
+    {!Rio_fuzz.Fuzzer.run_attempt} (one program) and
+    {!Rio_fuzz.Fuzzer.run_attempt_tasks} (one program per task); the
+    fuzzer, its shrinkers and the exhaustive explorer all run through
+    them, so they differ only in which programs they run and where they
+    crash.
 
     Rentals come from one per-domain template cache: the first rental of a
     (payload kind, spec, seed, key) builds and freezes the world, every
@@ -44,7 +48,7 @@ type spec = {
 
 type 'p kind
 (** A payload type: what a harness plants in the world before arming
-    (scenario files, fuzz roots, Vista stores). One value per payload
+    (the fuzz root, the bystander file, Vista stores). One value per payload
     type; it names the payload's template-cache slots and keeps them
     type-safe. *)
 

@@ -2,11 +2,6 @@ module Json = Rio_util.Json
 
 type outcome = Survived | Violated | Unreached
 
-let outcome_name = function
-  | Survived -> "survived"
-  | Violated -> "violated"
-  | Unreached -> "unreached"
-
 let label_class l =
   match String.index_opt l ' ' with Some i -> String.sub l 0 i | None -> l
 
@@ -113,7 +108,6 @@ let merge_list ts =
 let schedules t = t.schedules
 let crash_trials t = t.trials
 let boundaries_enumerated t = t.boundaries
-let shrink_attempts t = t.shrink
 
 let fold_cells t f acc = Hashtbl.fold (fun key y acc -> f key y acc) t.cells acc
 

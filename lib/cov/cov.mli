@@ -17,7 +17,7 @@
       {!Rio_check.Boundary} label before its first space ("store-torn",
       "registry-update", "vista-commit-start", ...);
     - {e operation kind} — what was in flight at the crash (a fuzz op
-      kind like "rename" or a checker scenario slug like "vista");
+      kind like "rename" or an explorer scenario slug like "vista");
     - {e task role} — whose crash it was in a multi-task schedule:
       ["solo"], ["crasher"], or ["bystander"];
     - {e crash-ordinal bucket} — the boundary's ordinal in its schedule,
@@ -33,8 +33,6 @@ type outcome =
   | Survived  (** All contracts held after warm reboot. *)
   | Violated  (** At least one contract was broken. *)
   | Unreached  (** The trip ordinal was never reached on replay. *)
-
-val outcome_name : outcome -> string
 
 val label_class : string -> string
 (** The boundary label's class: the prefix before the first space
@@ -93,7 +91,6 @@ val crash_trials : t -> int
 val violations : t -> int
 val unreached : t -> int
 val boundaries_enumerated : t -> int
-val shrink_attempts : t -> int
 
 val classes : t -> string list
 (** Every label class seen (enumerated or crashed-in), sorted. *)

@@ -12,6 +12,3 @@
 val render : Cov.t -> string
 (** The full report: a summary head, both grids, and the unhit-class
     line ("unhit label classes: none" when coverage is full). *)
-
-val summary : Cov.t -> string
-(** The one-line summary head only. *)

@@ -1096,3 +1096,189 @@ let treport_ok r =
            && nonempty_tasks c.tc_progs <= 2
            && c.tc_problems <> [])
          r.tr_counterexamples
+
+(* ---------------- the exhaustive explorer ---------------- *)
+
+(* Checking instead of sampling: each scenario is a fixed program (or one
+   per task) over the fuzzer's world, crashed at EVERY boundary of its
+   schedule and audited by the same [Program] contract as a fuzz trial.
+   A shrunk fuzz counterexample is therefore a scenario as it stands. *)
+
+type body = One of Gen.op list | Tasks of Gen.op list array
+type scenario = { slug : string; body : body }
+
+let scenarios =
+  [
+    { slug = "creat"; body = One [ Gen.Creat { path = "/fuzz/f"; seed = 0xc4ea; len = 600 } ] };
+    (* Overwrite a two-block file in place: per-block store windows interleave. *)
+    {
+      slug = "write";
+      body =
+        One
+          [
+            Gen.Creat { path = "/fuzz/g"; seed = 0xa11c; len = 12000 };
+            Gen.Overwrite { path = "/fuzz/g"; offset = 0; seed = 0xb0b5; len = 12000 };
+          ];
+    };
+    (* Rename within one directory: one shadow-wrapped block rewrite. *)
+    {
+      slug = "rename";
+      body =
+        One
+          [
+            Gen.Creat { path = "/fuzz/src"; seed = 0x5c5c; len = 800 };
+            Gen.Rename { src = "/fuzz/src"; dst = "/fuzz/dst" };
+          ];
+    };
+    (* A Vista transaction: two writes and a commit. *)
+    { slug = "vista"; body = One [ Gen.Vista_txn { seed = 0x0e11 } ] };
+    (* Sync a two-block file: under a policy whose sync flushes, the
+       write-behind pipeline's windows become crash points; under plain
+       Rio sync returns at once. *)
+    {
+      slug = "sync";
+      body = One [ Gen.Creat { path = "/fuzz/s"; seed = 0x59c5; len = 9000 }; Gen.Sync ];
+    };
+    (* Two tasks: a chunked create racing a rename + mkdir. *)
+    {
+      slug = "two-task";
+      body =
+        Tasks
+          [|
+            [ Gen.Creat { path = "/fuzz/t0/f"; seed = 0x77aa; len = 12000 } ];
+            [
+              Gen.Creat { path = "/fuzz/t1/g"; seed = 0x5c5c; len = 800 };
+              Gen.Rename { src = "/fuzz/t1/g"; dst = "/fuzz/t1/h" };
+              Gen.Mkdir "/fuzz/t1/d";
+            ];
+          |];
+    };
+  ]
+
+let scenario slug =
+  match List.find_opt (fun sc -> sc.slug = slug) scenarios with
+  | Some sc -> sc
+  | None -> invalid_arg ("Fuzzer.scenario: unknown scenario slug " ^ slug)
+
+(* One attempt of a job, trip [-1] being the count pass: its schedule,
+   whether the trip was reached, what the attempt's audit found (for a
+   multi-task count pass, its final-state audit), and whether the crash
+   landed inside a task's op. Multi-task jobs run with locking on: the
+   scenarios assert the safe protocol. *)
+let explore_attempt ?obs ~spec ~seed (body, sched_seed) ~trip =
+  match body with
+  | One ops ->
+    let a = run_attempt ?obs ~spec ~seed ~ops ~trip () in
+    (a.labels, a.tripped <> None, a.problems, false)
+  | Tasks progs ->
+    let a = run_attempt_tasks ?obs ~spec ~locking:true ~seed ~sched_seed ~progs ~trip () in
+    (a.t_labels, a.t_tripped <> None, a.t_problems, a.t_crasher <> None)
+
+let explore ?(spec = Explorer.rio_prot) ?(scenarios = scenarios) ?(interleave = 0)
+    (cfg : Run.config) =
+  if interleave < 0 then
+    invalid_arg (Printf.sprintf "Fuzzer.explore: interleave must be >= 0, got %d" interleave);
+  if spec.Explorer.cold then
+    invalid_arg
+      (Printf.sprintf
+         "Fuzzer.explore: %s is a cold-recovery spec; crash-schedule checks audit warm recovery \
+          only"
+         spec.Explorer.label);
+  let seed = cfg.Run.seed in
+  (* One boundary enumeration per job: a one-program scenario is one job;
+     a multi-task scenario is [interleave] jobs, one per scheduler seed,
+     reported as "<slug>#i<j>". *)
+  let jobs =
+    List.concat_map
+      (fun sc ->
+        match sc.body with
+        | One _ -> [ (sc.slug, (sc.body, 0)) ]
+        | Tasks _ ->
+          List.init interleave (fun j ->
+              (Printf.sprintf "%s#i%d" sc.slug j, (sc.body, (seed * 0x10001) + j))))
+      scenarios
+  in
+  if jobs = [] then
+    invalid_arg "Fuzzer.explore: nothing to explore (a multi-task scenario needs interleave > 0)";
+  (* A violation carries a counterexample narrative: the identical attempt
+     replayed with the flight recorder live. *)
+  let verdict job ~trip ~label problems =
+    let narrative =
+      if problems = [] then []
+      else begin
+        let obs = Run.recorder cfg () in
+        ignore (explore_attempt ~obs ~spec ~seed job ~trip);
+        Forensics.narrative (Forensics.summarize obs)
+      end
+    in
+    { Explorer.ordinal = trip; label; problems; narrative }
+  in
+  (* Count pass: never trips; yields the boundary order the trip passes
+     replay point by point, and its own final-state audit. *)
+  let counted =
+    List.map
+      (fun (slug, job) ->
+        let labels, _, problems, _ = explore_attempt ~spec ~seed job ~trip:(-1) in
+        (slug, job, labels, verdict job ~trip:(-1) ~label:"final-state audit" problems))
+      jobs
+  in
+  let trips =
+    List.concat_map
+      (fun (slug, job, labels, _) -> List.mapi (fun i l -> (slug, job, i, l)) labels)
+      counted
+  in
+  let report_done = Run.reporter cfg ~total:(List.length trips) in
+  let results =
+    Pool.map_list ~domains:cfg.Run.domains
+      (fun (slug, job, trip, label) ->
+        let _, reached, problems, crasher = explore_attempt ~spec ~seed job ~trip in
+        let outcome, problems =
+          match (problems, reached) with
+          | _ :: _, _ -> (Cov.Violated, problems)
+          | [], true -> (Cov.Survived, [])
+          | [], false ->
+            ( Cov.Unreached,
+              [ Printf.sprintf "crash point %d (%s) was not reached on replay" trip label ] )
+        in
+        let v = verdict job ~trip ~label problems in
+        report_done ~label:slug ~detail:label;
+        (slug, v, outcome, if crasher then "crasher" else "solo"))
+      trips
+  in
+  let coverage =
+    if not cfg.Run.coverage then None
+    else begin
+      (* Results arrive in schedule order at any [-j], so this fold is
+         deterministic: the map renders byte-identically. *)
+      let cov = Cov.create () in
+      List.iter (fun (_, _, labels, _) -> Cov.note_schedule cov ~labels) counted;
+      List.iter
+        (fun (slug, (v : Explorer.violation), outcome, role) ->
+          Cov.record cov ~task:role ~cls:(Cov.label_class v.label) ~op:slug ~ordinal:v.ordinal
+            outcome)
+        results;
+      Some cov
+    end
+  in
+  let scenarios =
+    List.map
+      (fun (slug, _, labels, final) ->
+        {
+          Explorer.slug;
+          crash_points = List.length labels;
+          violations =
+            List.filter
+              (fun (v : Explorer.violation) -> v.problems <> [])
+              (final
+              :: List.filter_map (fun (s, v, _, _) -> if s = slug then Some v else None) results);
+        })
+      counted
+  in
+  { Explorer.spec; scenarios; coverage }
+
+let explore_matrix ?(specs = Explorer.matrix_specs) ?scenarios (cfg : Run.config) =
+  List.map
+    (fun spec ->
+      let entry_report = explore ~spec ?scenarios cfg in
+      { Explorer.entry_report; ok = Explorer.report_ok entry_report })
+    specs

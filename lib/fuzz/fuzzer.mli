@@ -1,26 +1,29 @@
-(** The randomized crash-schedule fuzzer, with counterexample shrinking.
+(** The crash-schedule harnesses over fuzz programs: the randomized
+    fuzzer, with counterexample shrinking, and the exhaustive explorer.
 
-    The explorer proves the atomicity contracts over every boundary of a
-    few fixed scenarios; the fuzzer samples the space the scenarios cannot
-    reach — random op {e sequences} over a growing tree, with the crash at
-    a random boundary of a random op (stratified by boundary class, so the
-    rare metadata/registry/Vista boundaries get sampled as often as the
-    plentiful data-store windows). Each trial is a pure function of
-    (spec, seed, trial index): generate a program
-    ({!Rio_workload.Script.Gen}), count its boundaries with a disarmed
-    pass, pick one, re-run tripping there, warm-reboot, and audit
-    ({!Program.check}).
+    Both run {!Program}s against the boundary probe and audit every
+    crash through the one contract, {!Program.check} (or
+    {!Program.check_tasks}). The fuzzer samples random op {e sequences}
+    over a growing tree, with the crash at a random boundary of a random
+    op (stratified by boundary class, so the rare metadata/registry/Vista
+    boundaries get sampled as often as the plentiful data-store windows).
+    Each trial is a pure function of (spec, seed, trial index): generate
+    a program ({!Rio_workload.Script.Gen}), count its boundaries with a
+    disarmed pass, pick one, re-run tripping there, warm-reboot, and
+    audit. The explorer ({!explore}) instead crashes a few fixed programs
+    — its scenarios — at {e every} boundary.
 
-    A violating trial is then {e shrunk} — delta debugging over both axes:
-    drop ops the failure does not need (re-validating every candidate by
-    running it, remapping the crash ordinal into the in-flight op's
-    shifted boundary range), and walk the crash ordinal down to the first
-    failing boundary. The result is a minimal program + boundary pair,
-    replayed once more with the flight recorder live so the report carries
-    a {!Rio_obs.Forensics} narrative.
+    A violating fuzz trial is then {e shrunk} — delta debugging over both
+    axes: drop ops the failure does not need (re-validating every
+    candidate by running it, remapping the crash ordinal into the
+    in-flight op's shifted boundary range), and walk the crash ordinal
+    down to the first failing boundary. The result is a minimal program +
+    boundary pair, replayed once more with the flight recorder live so
+    the report carries a {!Rio_obs.Forensics} narrative. A shrunk program
+    can be explored as a scenario unchanged.
 
     Trials shard across domains via {!Rio_parallel.Pool} and merge in
-    trial order, so {!render} output is byte-identical at any [domains]. *)
+    trial order, so every report is byte-identical at any [domains]. *)
 
 exception Invalid_program
 (** A (shrunk) sub-program referenced a file an earlier removed op would
@@ -52,16 +55,6 @@ val run_attempt :
     boundary [trip] ([-1] = count only), recover (warm, or cold for a
     [cold] spec) and audit. Raises {!Invalid_program} if [ops] is not
     executable in order. *)
-
-val shrink :
-  spec:Rio_check.Explorer.spec ->
-  world_seed:int ->
-  ops:Rio_workload.Script.Gen.op list ->
-  ordinal:int ->
-  Rio_workload.Script.Gen.op list * int * int * int
-(** [(ops', ordinal', in_flight', attempts)] — a locally minimal failing
-    (program, boundary) pair, starting from a known-failing one. Budgeted
-    (a few hundred candidate runs) and deterministic. *)
 
 (** {1 The fuzz run} *)
 
@@ -192,22 +185,6 @@ val run_attempt_tasks :
 val total_ops : Rio_workload.Script.Gen.op list array -> int
 val nonempty_tasks : Rio_workload.Script.Gen.op list array -> int
 
-val shrink_tasks :
-  spec:Rio_check.Explorer.spec ->
-  locking:bool ->
-  world_seed:int ->
-  sched_seed:int ->
-  progs:Rio_workload.Script.Gen.op list array ->
-  ordinal:int option ->
-  crasher:(int * int) option ->
-  Rio_workload.Script.Gen.op list array * int option * int
-(** [(progs', ordinal', attempts)] — a locally minimal failing multi-task
-    (programs, boundary) pair: whole bystander tasks emptied, single ops
-    dropped, the ordinal walked down. Every candidate re-counts the
-    schedule (removing ops changes the interleaving) and remaps the
-    ordinal into the crasher op's new boundary window. [ordinal = None]
-    is the no-crash flavor (the interleaving alone fails the audit). *)
-
 type tcounterexample = {
   tc_trial : int;
   tc_original_ops : int;
@@ -257,3 +234,55 @@ val treport_ok : treport -> bool
     clean; without it (the lost-update ablation) it was caught and some
     counterexample shrank to at most {!max_repro_ops} total ops over at
     most two non-empty tasks. *)
+
+(** {1 The exhaustive explorer}
+
+    The paper's reliability numbers come from {e sampling} crash times
+    (§3.1). The explorer instead counts a scenario's crash boundaries
+    once, then re-runs it once per boundary — identical seed, fresh
+    world — crashing exactly there, recovering, and auditing. Every
+    reachable crash schedule of the program is checked. *)
+
+type body =
+  | One of Rio_workload.Script.Gen.op list
+      (** One program over the fuzzer's world, run by {!run_attempt}. *)
+  | Tasks of Rio_workload.Script.Gen.op list array
+      (** One program per task (over [/fuzz/t<i>]), run by
+          {!run_attempt_tasks} with locking on. *)
+
+type scenario = { slug : string; body : body }
+
+val scenarios : scenario list
+(** creat, write, rename, vista, sync, two-task — in report order. *)
+
+val scenario : string -> scenario
+(** Look up by slug; raises [Invalid_argument] on an unknown one. *)
+
+val explore :
+  ?spec:Rio_check.Explorer.spec ->
+  ?scenarios:scenario list ->
+  ?interleave:int ->
+  Rio_harness.Run.config ->
+  Rio_check.Explorer.report
+(** Explore every crash point of every scenario (default {!scenarios}).
+    Uses [config.seed], [config.domains] and [config.coverage]; [trials]
+    and [scale] are ignored — the schedule is exhaustive, not sampled.
+    Each violation is replayed with the flight recorder live for its
+    narrative. A multi-task scenario contributes [interleave] jobs, one
+    per deterministic scheduler seed, reported under ["<slug>#i<j>"]:
+    the cross product of task interleavings and crash points (the
+    interleavings are sampled by seed); a failed final-state audit of a
+    job's count pass is a violation at ordinal [-1]. Coverage cells from
+    those jobs carry the ["crasher"] task role when the crash landed
+    inside a task's op ([solo] otherwise). Default [interleave] [0]: no
+    multi-task jobs. Raises [Invalid_argument] on a negative
+    [interleave], and on a [cold] spec: the scenarios audit warm
+    recovery only. *)
+
+val explore_matrix :
+  ?specs:Rio_check.Explorer.spec list ->
+  ?scenarios:scenario list ->
+  Rio_harness.Run.config ->
+  Rio_check.Explorer.matrix_entry list
+(** {!explore} each spec (default {!Rio_check.Explorer.matrix_specs});
+    each entry's verdict is {!Rio_check.Explorer.report_ok}. *)

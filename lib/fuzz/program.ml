@@ -308,9 +308,17 @@ let check_core fs ~root:rt ~ledger ~ops ~progress acc =
         let s = Fs.exists fs src and d = Fs.exists fs dst in
         if not (s || d) then problem "rename lost %s: neither name exists" src :: acc
         else begin
-          (* Cross-directory renames legitimately pass through a both-names
-             state (insert before remove); whichever name exists must carry
-             the full old contents. *)
+          (* A cross-directory rename legitimately passes through a
+             both-names state (insert before remove). A same-directory one
+             is a single shadow-wrapped block rewrite ([Fs.rename]; no
+             generated tree fills a directory block), so it owes exactly
+             one name. Whichever name exists must carry the full old
+             contents. *)
+          let acc =
+            if s && d && Filename.dirname src = Filename.dirname dst then
+              problem "rename intermediate state exposed: both %s and %s exist" src dst :: acc
+            else acc
+          in
           let acc = if s then check_exact fs ~path:src ~expect acc else acc in
           if d then check_exact fs ~path:dst ~expect acc else acc
         end

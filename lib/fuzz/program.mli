@@ -1,34 +1,28 @@
-(** Fuzz programs: executing generated op sequences and auditing their
-    post-crash contracts.
+(** Fuzz programs: executing {!Rio_workload.Script.Gen} op sequences and
+    auditing their post-crash contracts — the one crash contract every
+    harness checks.
 
-    The explorer ({!Rio_check.Explorer}) checks a handful of hand-written
-    scenarios exhaustively; the fuzzer instead runs {e random} programs
-    ({!Rio_workload.Script.Gen}) against the same boundary probe. This
-    module is the program side of that: a fixed setup (a bystander file
-    and a Vista store planted under [/fuzz]), an executor that issues each
-    generated op the way real programs do (chunked store windows), and the
-    recovery audit that knows what each op owes after a crash:
+    The fuzzer runs {e random} programs against the boundary probe; the
+    explorer ({!Fuzzer.explore}) crashes {e fixed} ones — its scenarios —
+    at every boundary. Both go through this module: a fixed setup (a
+    bystander file and a Vista store planted under [/fuzz]), an executor
+    that issues each op the way real programs do (chunked store windows),
+    and the recovery audit that derives from {!Rio_workload.Script.Gen.Model}
+    what each op owes after a crash:
 
     - completed ops: their whole effect, exactly;
     - the in-flight op: atomic-or-absent metadata, prefix-durable data
       (unwritten tail bytes may read back zero, never garbage; overwritten
-      windows read old-or-new per byte);
+      windows read old-or-new per byte); a rename keeps at least one name
+      with the full contents, and exactly one when source and destination
+      share a directory;
     - everything else (the bystander, other files, directories): exact;
     - the Vista store: exactly the last committed transaction, or the
       in-flight one (old-or-new), with an empty undo log after
       {!Rio_txn.Vista.recover}. *)
 
-val root : string
-(** ["/fuzz"] — the directory every program grows under. *)
-
-val keep_path : string
-(** The bystander file planted by {!setup}; no generated op touches it. *)
-
-val ledger_path : string
-(** The Vista store {!setup} plants (undo log at [ledger_path ^ ".undo"]). *)
-
 val gen_spec : Rio_workload.Script.Gen.spec
-(** The generator spec the fuzzer uses (rooted at {!root}). *)
+(** The generator spec the fuzzer uses (rooted at [/fuzz]). *)
 
 type world = { fs : Rio_fs.Fs.t; store : Rio_txn.Vista.t }
 
@@ -68,9 +62,6 @@ val check_cold :
 
 val task_root : int -> string
 (** [/fuzz/t<i>] — task [i]'s subtree. *)
-
-val task_ledger : int -> string
-(** Task [i]'s Vista store path. *)
 
 val task_gen_spec : int -> Rio_workload.Script.Gen.spec
 (** Generator spec for task [i] (rooted at {!task_root}[ i]). *)

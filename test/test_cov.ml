@@ -83,7 +83,7 @@ let render_both cov = (Heatmap.render cov, Json.to_string (Cov.to_json cov))
 let test_explorer_determinism () =
   let run domains =
     let r =
-      Explorer.run ~spec:Explorer.rio_prot
+      Fuzzer.explore ~spec:Explorer.rio_prot
         { Run.default with Run.seed = 7; domains; coverage = true }
     in
     render_both (cov_exn r.Explorer.coverage)
@@ -121,7 +121,7 @@ let test_report_json_parses_back () =
   (match Json.parse s with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "fuzz report JSON does not parse back: %s" e);
-  let e = Explorer.run { Run.default with Run.seed = 5; domains = 2; coverage = true } in
+  let e = Fuzzer.explore { Run.default with Run.seed = 5; domains = 2; coverage = true } in
   match Json.parse (Json.to_string (Explorer.report_json e)) with
   | Ok _ -> ()
   | Error err -> Alcotest.failf "check report JSON does not parse back: %s" err

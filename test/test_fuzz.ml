@@ -11,6 +11,9 @@ module Fuzzer = Rio_fuzz.Fuzzer
 module Explorer = Rio_check.Explorer
 module Run = Rio_harness.Run
 module Prng = Rio_util.Prng
+module World = Rio_world.World
+module Fs = Rio_fs.Fs
+module Pattern = Rio_util.Pattern
 
 let check = Alcotest.check
 
@@ -84,6 +87,33 @@ let test_attempt_op_starts () =
         Alcotest.failf "op_starts not monotone at %d" i)
     a.Fuzzer.op_starts
 
+(* ---------------- the post-crash contract ---------------- *)
+
+(* A rename whose source and destination share a directory is one
+   shadow-wrapped block rewrite, so recovery owes exactly one name; a
+   cross-directory rename inserts before it removes, so both names may
+   survive a crash inside it. The audit must tell the two apart. *)
+let test_rename_owes_one_name () =
+  let creat = Gen.Creat { path = "/fuzz/a"; seed = 0x5c5c; len = 800 } in
+  let both_names ~dst ops =
+    let w = World.create ~seed:3 () in
+    Fun.protect
+      ~finally:(fun () -> World.dispose w)
+      (fun () ->
+        let fs = World.fs w in
+        ignore (Program.setup fs : Program.world);
+        if Filename.dirname dst <> "/fuzz" then Fs.mkdir fs (Filename.dirname dst);
+        List.iter
+          (fun path -> Fs.write_file fs path (Pattern.fill ~seed:0x5c5c ~len:800))
+          [ "/fuzz/a"; dst ];
+        Program.check fs ~ops ~in_flight:(List.length ops - 1))
+  in
+  let same = both_names ~dst:"/fuzz/b" [ creat; Gen.Rename { src = "/fuzz/a"; dst = "/fuzz/b" } ] in
+  check Alcotest.bool "same directory: both names is a violation" true (same <> []);
+  check (Alcotest.list Alcotest.string) "across directories: both names is allowed" []
+    (both_names ~dst:"/fuzz/d/b"
+       [ creat; Gen.Mkdir "/fuzz/d"; Gen.Rename { src = "/fuzz/a"; dst = "/fuzz/d/b" } ])
+
 (* ---------------- the fuzz loop ---------------- *)
 
 let test_rio_prot_fuzzes_clean () =
@@ -141,6 +171,11 @@ let () =
         ] );
       ( "attempt",
         [ Alcotest.test_case "op_starts attribution" `Quick test_attempt_op_starts ] );
+      ( "program",
+        [
+          Alcotest.test_case "same-directory rename owes one name" `Quick
+            test_rename_owes_one_name;
+        ] );
       ( "fuzz",
         [
           Alcotest.test_case "rio-prot fuzzes clean" `Slow test_rio_prot_fuzzes_clean;

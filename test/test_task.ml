@@ -400,8 +400,9 @@ let test_lock_off_caught_and_shrunk () =
 
 let test_explorer_interleave_determinism () =
   let cfg domains = { Run.default with Run.seed = 2; domains } in
-  let r1 = Explorer.run ~only:[ "creat" ] ~interleave:2 (cfg 1) in
-  let r4 = Explorer.run ~only:[ "creat" ] ~interleave:2 (cfg 4) in
+  let scenarios = List.map Fuzzer.scenario [ "creat"; "two-task" ] in
+  let r1 = Fuzzer.explore ~scenarios ~interleave:2 (cfg 1) in
+  let r4 = Fuzzer.explore ~scenarios ~interleave:2 (cfg 4) in
   check Alcotest.string "byte-identical render at -j 1 and -j 4" (Explorer.render r1)
     (Explorer.render r4);
   check Alcotest.int "rio-prot survives every interleaved crash point" 0

@@ -188,7 +188,9 @@ let test_tasks_attempts_match_fresh () =
 let test_explorer_report_matches_fresh () =
   let cfg = { Run.default with Run.seed = 5; domains = 1 } in
   let go () =
-    Explorer.run ~spec:Explorer.rio_prot ~only:[ "creat"; "rename" ] ~interleave:1 cfg
+    Fuzzer.explore ~spec:Explorer.rio_prot
+      ~scenarios:(List.map Fuzzer.scenario [ "creat"; "rename"; "two-task" ])
+      ~interleave:1 cfg
   in
   let fresh = with_templates false go in
   let tpl1 = with_templates true go in
