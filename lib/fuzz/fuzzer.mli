@@ -276,8 +276,9 @@ val explore :
     those jobs carry the ["crasher"] task role when the crash landed
     inside a task's op ([solo] otherwise). Default [interleave] [0]: no
     multi-task jobs. Raises [Invalid_argument] on a negative
-    [interleave], and on a [cold] spec: the scenarios audit warm
-    recovery only. *)
+    [interleave], on a selection that leaves no job (a multi-task
+    scenario alone at [interleave] [0]), and on a [cold] spec: the
+    scenarios audit warm recovery only. *)
 
 val explore_matrix :
   ?specs:Rio_check.Explorer.spec list ->
